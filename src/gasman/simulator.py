@@ -8,10 +8,13 @@ comes from one seeded generator, and all iteration over node sets is sorted.
 
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
-waypoint walk, and floods broadcasts over the resulting disk graph.  Traffic
-is accounted per delivery: each node forwards a broadcast at most once and
-every copy a receiver hears is counted at the message's encoded size plus a
-fixed header.
+waypoint walk, and floods broadcasts over the resulting disk graph.  That
+graph (``disk_links``) is computed once per mobility tick, or per membership
+change that places a node, and shared by every broadcast until positions
+change again.  Traffic is accounted per delivery: each node forwards a
+broadcast at most once and every copy a receiver hears is counted at the
+message's encoded size plus a fixed header.  A broadcast then reaches its
+recipients as one delivery event, handled in recipient id order.
 """
 
 from __future__ import annotations
@@ -86,6 +89,25 @@ class ScenarioError(ValueError):
     """The scenario configuration is invalid; nothing was simulated."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_node_id(value) -> bool:
+    # Ids travel in the canonical encodings as unsigned 32-bit integers.
+    return _is_int(value) and 0 <= value < 2**32
+
+
+def _is_number(value, scale: int = 1) -> bool:
+    """An int or float, not a bool, that stays a finite float times ``scale``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value) * scale)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class Reach(Enum):
     NONE = "none"
     DATA = "data"
@@ -146,24 +168,38 @@ class ScenarioConfig:
     script: tuple[ScriptedOp, ...] = ()
 
     def validate(self) -> None:
-        if self.n_initial < 4 or self.m < self.n_initial:
-            raise ScenarioError("invalid scenario: need n_initial >= 4 and m >= n_initial")
-        if (2 * self.m) % self.n_initial != 0:
-            raise ScenarioError("invalid scenario: 2m/n must be an integer")
-        if self.T <= 0 or self.duration <= 0 or self.l < 1:
-            raise ScenarioError("invalid scenario: T, duration and l must be positive")
-        if self.termination_threshold < 3:
-            raise ScenarioError("invalid scenario: termination threshold below 3")
-        for name, p in (
+        for name in ("n_initial", "m", "l", "seed", "termination_threshold"):
+            if not _is_int(getattr(self, name)):
+                raise ScenarioError(f"invalid scenario: {name} must be an integer")
+        # Times are simulated in whole microseconds.
+        for name in ("T", "duration"):
+            if not _is_number(getattr(self, name), 1_000_000):
+                raise ScenarioError(f"invalid scenario: {name} must be a finite number")
+        probabilities = (
             ("insertion_request", self.churn.insertion_request),
             ("node_turn_off", self.churn.node_turn_off),
             ("node_turn_on", self.churn.node_turn_on),
             ("admission_deny_prob", self.admission_deny_prob),
-        ):
+        )
+        for name, p in probabilities:
+            if not _is_number(p):
+                raise ScenarioError(f"invalid scenario: probability {name} must be a number")
+        if self.n_initial < 4 or self.m < self.n_initial:
+            raise ScenarioError("invalid scenario: need n_initial >= 4 and m >= n_initial")
+        if (2 * self.m) % self.n_initial != 0:
+            raise ScenarioError("invalid scenario: 2m/n must be an integer")
+        if _us(self.T) < 1 or self.duration <= 0 or self.l < 1:
+            raise ScenarioError("invalid scenario: T (at least 1 us), duration and l must be positive")
+        if self.termination_threshold < 3:
+            raise ScenarioError("invalid scenario: termination threshold below 3")
+        for name, p in probabilities:
             if not 0.0 <= p <= 1.0:
                 raise ScenarioError(f"invalid scenario: probability {name} out of range")
         if isinstance(self.connectivity, GeometricConfig):
             geo = self.connectivity
+            lengths = (geo.area_side, geo.speed_max, geo.pause, geo.data_range, geo.secure_range)
+            if not all(_is_number(x) for x in lengths):
+                raise ScenarioError("invalid scenario: geometric parameters must be finite numbers")
             if min(geo.area_side, geo.speed_max, geo.data_range, geo.secure_range) <= 0:
                 raise ScenarioError("invalid scenario: geometric ranges must be positive")
             if geo.pause < 0:
@@ -172,13 +208,20 @@ class ScenarioConfig:
             raise ScenarioError("invalid scenario: unknown connectivity mode")
         if self.initial_cycle is not None:
             ids = tuple(self.initial_cycle)
+            if not all(_is_node_id(v) for v in ids):
+                raise ScenarioError("invalid scenario: initial_cycle ids must be 32-bit unsigned integers")
             if len(ids) != self.n_initial or len(set(ids)) != len(ids):
                 raise ScenarioError("invalid scenario: initial_cycle must list n_initial distinct ids")
         for op in self.script:
             if op.op not in ("insert", "delete", "turn_off", "turn_on"):
                 raise ScenarioError(f"invalid scenario: unknown scripted op {op.op!r}")
+            if not _is_number(op.time, 1_000_000):
+                raise ScenarioError("invalid scenario: scripted op time must be a finite number")
             if op.time < 0:
                 raise ScenarioError("invalid scenario: scripted op before time 0")
+            named = (op.node, op.author, *(op.neighbors or ()))
+            if not all(v is None or _is_node_id(v) for v in named):
+                raise ScenarioError("invalid scenario: scripted node ids must be 32-bit unsigned integers")
 
     def to_json(self) -> str:
         doc = {
@@ -234,9 +277,15 @@ class ScenarioConfig:
             raise ScenarioError(f"invalid scenario: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("invalid scenario: top level must be an object")
+        churn_doc = doc.get("churn", {})
+        conn_doc = doc.get("connectivity", {"mode": "full_mesh"})
+        script_doc = doc.get("script", [])
+        if not isinstance(churn_doc, dict) or not isinstance(conn_doc, dict):
+            raise ScenarioError("invalid scenario: churn and connectivity must be objects")
+        if not isinstance(script_doc, list) or not all(isinstance(e, dict) for e in script_doc):
+            raise ScenarioError("invalid scenario: script must be a list of objects")
         try:
-            churn = ChurnConfig(**doc.get("churn", {}))
-            conn_doc = doc.get("connectivity", {"mode": "full_mesh"})
+            churn = ChurnConfig(**churn_doc)
             if conn_doc.get("mode") == "geometric":
                 connectivity: Union[str, GeometricConfig] = GeometricConfig(
                     area_side=conn_doc["area_side"],
@@ -255,7 +304,7 @@ class ScenarioConfig:
                     neighbors=tuple(entry["neighbors"]) if entry.get("neighbors") else None,
                     author=entry.get("author"),
                 )
-                for entry in doc.get("script", [])
+                for entry in script_doc
             )
             initial_cycle = tuple(doc["initial_cycle"]) if doc.get("initial_cycle") else None
             cfg = cls(
@@ -409,6 +458,29 @@ def reachable(
     return Reach.NONE
 
 
+#: Who hears whom: each positioned node mapped to the nodes in its range.
+Links = dict[NodeId, frozenset[NodeId]]
+
+
+def disk_links(positions: dict[NodeId, WaypointState], geo: GeometricConfig) -> Links:
+    """The disk graph over every positioned node, on-line or not.
+
+    Two nodes are linked exactly when ``reachable`` gives them any channel,
+    that is when their distance is within the data range or the secure range
+    (the configuration does not order the two).
+    """
+    reach = max(geo.data_range, geo.secure_range)
+    placed = [(v, p.x, p.y) for v, p in positions.items()]
+    near: dict[NodeId, set[NodeId]] = {v: set() for v, _, _ in placed}
+    for i, (u, ux, uy) in enumerate(placed):
+        near_u = near[u]
+        for v, vx, vy in placed[i + 1:]:
+            if math.hypot(ux - vx, uy - vy) <= reach:
+                near_u.add(v)
+                near[v].add(u)
+    return {v: frozenset(ns) for v, ns in near.items()}
+
+
 @dataclass(frozen=True)
 class FloodResult:
     recipients: frozenset[NodeId]
@@ -419,38 +491,33 @@ class FloodResult:
 def broadcast_deliver(
     sender: NodeId,
     online: set[NodeId],
-    positions: dict[NodeId, WaypointState],
-    cfg: ScenarioConfig,
+    links: Optional[Links],
 ) -> FloodResult:
-    """Flood one broadcast over the data-range graph with duplicate suppression.
+    """Flood one broadcast over ``links`` with duplicate suppression.
 
-    Every reached node (the sender included) forwards the broadcast exactly
-    once; each transmission is heard by all of the transmitter's in-range
-    on-line neighbors, and every such copy counts as a delivery.  The
-    recipient set is the sender's connected component, minus itself.
+    ``links`` is a ``disk_links`` table, or ``None`` for a full mesh.  Only
+    the on-line nodes and the sender take part.  Every reached node (the
+    sender included) forwards the broadcast exactly once; each transmission
+    is heard by all of the transmitter's linked on-line neighbors, and every
+    such copy counts as a delivery.  The recipient set is the sender's
+    connected component, minus itself.
     """
-    members = sorted(online | {sender})
-    if not isinstance(cfg.connectivity, GeometricConfig):
+    members = online | {sender}
+    if links is None:
         n = len(members)
         reached = frozenset(members)
         return FloodResult(reached - {sender}, reached, n * (n - 1))
-    neighbor_sets: dict[NodeId, list[NodeId]] = {}
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            if reachable(u, v, positions, cfg) is not Reach.NONE:
-                neighbor_sets.setdefault(u, []).append(v)
-                neighbor_sets.setdefault(v, []).append(u)
     seen = {sender}
-    frontier = [sender]
+    frontier = {sender}
+    deliveries = 0
     while frontier:
-        nxt = []
+        heard: set[NodeId] = set()
         for u in frontier:
-            for v in neighbor_sets.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = sorted(nxt)
-    deliveries = sum(len(neighbor_sets.get(u, ())) for u in seen)
+            near = links[u] & members
+            deliveries += len(near)
+            heard |= near
+        frontier = heard - seen
+        seen |= frontier
     return FloodResult(frozenset(seen - {sender}), frozenset(seen), deliveries)
 
 
@@ -502,7 +569,11 @@ class _Engine:
         self.last_summary_alive: frozenset[NodeId] = frozenset()
         self.pending_pol: dict[NodeId, dict] = {}
         self.pending_insert: Optional[dict] = None
+        # Positions are replaced, never edited, so a new dict means a new
+        # neighbor table (see ``_link_table``).
         self.positions: dict[NodeId, WaypointState] = {}
+        self._links: Optional[Links] = None
+        self._links_of: Optional[dict[NodeId, WaypointState]] = None
         if isinstance(cfg.connectivity, GeometricConfig):
             side = cfg.connectivity.area_side
             for v in sorted(self.nodes):
@@ -551,6 +622,15 @@ class _Engine:
     def now_s(self) -> float:
         return _sec(self.now_us)
 
+    def _link_table(self) -> Optional[Links]:
+        """The neighbor table of the current positions; ``None`` on a full mesh."""
+        if not isinstance(self.cfg.connectivity, GeometricConfig):
+            return None
+        if self._links_of is not self.positions:
+            self._links = disk_links(self.positions, self.cfg.connectivity)
+            self._links_of = self.positions
+        return self._links
+
     def _online_ids(self) -> list[NodeId]:
         return sorted(
             v for v, s in self.nodes.items() if s.status is NodeStatus.ONLINE
@@ -578,9 +658,9 @@ class _Engine:
         self.message_log.append(msg)
         return True
 
-    def _broadcast(self, msg: Message, sender: NodeId) -> list[NodeId]:
-        """Flood a broadcast, meter every delivered copy, schedule handlers."""
-        flood = broadcast_deliver(sender, set(self._online_ids()), self.positions, self.cfg)
+    def _broadcast(self, msg: Message, sender: NodeId) -> None:
+        """Flood a broadcast, meter every delivered copy, schedule its delivery."""
+        flood = broadcast_deliver(sender, set(self._online_ids()), self._link_table())
         if flood.deliveries:
             if isinstance(msg, PolSummary) and msg.deletions:
                 deletion_part = len(msg.deletion_payload_bytes())
@@ -589,10 +669,8 @@ class _Engine:
             else:
                 self.metrics.record(msg.traffic_class, msg.size(), flood.deliveries)
         self.message_log.append(msg)
-        recipients = sorted(flood.recipients)
-        for r in recipients:
-            self._push(self.now_us + HOP_US, "deliver", (msg, r))
-        return recipients
+        if flood.recipients:
+            self._push(self.now_us + HOP_US, "deliver", (msg, tuple(sorted(flood.recipients))))
 
     # -- scheduling --------------------------------------------------------
 
@@ -642,22 +720,36 @@ class _Engine:
         elif op.op == "turn_on":
             self._turn_on(op.node)
 
-    def _on_deliver(self, msg: Message, recipient: NodeId) -> None:
-        state = self.nodes.get(recipient)
-        if state is None or state.status is not NodeStatus.ONLINE:
-            return
+    def _on_deliver(self, msg: Message, recipients: tuple[NodeId, ...]) -> None:
+        """Hand one message to each recipient in id order, all at one instant.
+
+        The copies of one transmission share a time stamp, so no other event
+        could run between them; the batch is one event.  It stops where the
+        run loop would have stopped between events: at termination.
+        """
         if isinstance(msg, PolInitiate):
-            self._handle_pol_initiate(state, msg)
+            handle = self._handle_pol_initiate
         elif isinstance(msg, PolAnswer):
-            self._handle_pol_answer(state, msg)
+            handle = self._handle_pol_answer
+            # Only a node collecting answers can act on one, and answers do
+            # not open or close collections.
+            recipients = [r for r in recipients if r in self.pending_pol]
         elif isinstance(msg, PolSummary):
-            self._handle_pol_summary(state, msg)
+            handle = self._handle_pol_summary
         elif isinstance(msg, InsertionAnnounce):
-            self._handle_insertion_announce(state, msg)
+            handle = self._handle_insertion_announce
         elif isinstance(msg, InsertionAck):
-            self._handle_insertion_ack(state, msg)
+            handle = self._handle_insertion_ack
         elif isinstance(msg, NeighborSetBroadcast):
-            self._handle_neighbor_set(state, msg)
+            handle = self._handle_neighbor_set
+        else:
+            return
+        for recipient in recipients:
+            if self.terminated_at is not None:
+                return
+            state = self.nodes.get(recipient)
+            if state is not None and state.status is NodeStatus.ONLINE:
+                handle(state, msg)
 
     # -- proofs of life ----------------------------------------------------
 
@@ -834,7 +926,7 @@ class _Engine:
             sender=node, stage=state.stage, sent_at=self.now_s, proposed_id=proposed
         )
         if self._meter_unicast(ack, node, author):
-            self._push(self.now_us + HOP_US, "deliver", (ack, author))
+            self._push(self.now_us + HOP_US, "deliver", (ack, (author,)))
 
     def _handle_insertion_ack(self, state: NodeState, msg: InsertionAck) -> None:
         pending = self.pending_insert
@@ -878,7 +970,7 @@ class _Engine:
         if isinstance(self.cfg.connectivity, GeometricConfig):
             # Insertion requires physical contact: the newcomer stands next
             # to its authenticator, inside secure-channel range.
-            self.positions[new_id] = replace(self.positions[auth.id])
+            self.positions = {**self.positions, new_id: replace(self.positions[auth.id])}
         if not self._meter_unicast(outcome.graph_transfer, auth.id, new_id):
             self._trace(f"Node {new_id} unreachable; graph transfer dropped")
             return

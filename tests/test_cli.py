@@ -62,9 +62,35 @@ def test_run_seed_override_changes_the_outcome(tmp_path):
     assert t1.read_bytes() != t2.read_bytes()
 
 
-def test_run_invalid_scenario_exits_one(tmp_path, capsys):
+VALID_DOC = json.loads(
+    ScenarioConfig(n_initial=8, m=16, T=5.0, l=10, duration=30.0, seed=7).to_json()
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n_initial": 3}',
+        *(
+            json.dumps({**VALID_DOC, **override})
+            for override in (
+                {"connectivity": 5},
+                {"n_initial": "8"},
+                {"churn": {"insertion_request": "x"}},
+                {"duration": float("nan")},
+                {"T": float("inf")},
+                {"n_initial": 8.5, "m": 17},
+            )
+        ),
+    ],
+    ids=[
+        "too-small", "connectivity-number", "count-string", "probability-string",
+        "duration-nan", "T-infinity", "count-float",
+    ],
+)
+def test_run_invalid_scenario_exits_one(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"n_initial": 3}', encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     assert run_cli("run", "--scenario", bad, "--trace", tmp_path / "t", "--metrics", tmp_path / "m") == 1
     assert "error" in capsys.readouterr().err
 

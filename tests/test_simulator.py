@@ -1,9 +1,13 @@
 """Engine behavior: determinism, traffic accounting, mobility, partitions."""
 
+import hashlib
+import json
 import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasman.simulator import (
     ChurnConfig,
@@ -14,6 +18,7 @@ from gasman.simulator import (
     ScriptedOp,
     WaypointState,
     broadcast_deliver,
+    disk_links,
     reachable,
     run_scenario,
     step_mobility,
@@ -67,6 +72,45 @@ def test_malformed_json_rejected():
         ScenarioConfig.from_json("{not json")
     with pytest.raises(ScenarioError):
         ScenarioConfig.from_json('{"n_initial": 8}')
+
+
+FUZZ_DOC = json.loads(
+    ScenarioConfig(
+        n_initial=8, m=16, T=5.0, l=10, duration=30.0, seed=7,
+        churn=ChurnConfig(0.1, 0.1, 0.1), connectivity=GEO,
+        initial_cycle=tuple(range(8)),
+        script=(ScriptedOp(time=1.0, op="insert", node=9, neighbors=(0, 1), author=2),),
+    ).to_json()
+)
+FUZZ_FIELDS = [
+    *((key,) for key in FUZZ_DOC),
+    *(("churn", key) for key in FUZZ_DOC["churn"]),
+    *(("connectivity", key) for key in FUZZ_DOC["connectivity"]),
+    *(("script", 0, key) for key in FUZZ_DOC["script"][0]),
+    ("initial_cycle", 0),
+    ("script", 0, "neighbors", 0),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([2**32, 10**400, -1]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+def test_any_json_value_in_any_field_loads_or_raises_scenario_error(path, value):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        ScenarioConfig.from_json(json.dumps(doc))
+    except ScenarioError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +180,37 @@ def test_two_simultaneous_initiators_yield_one_summary():
     assert raced[0].sender == 3  # same-time tie resolves to the lower id
 
 
+def test_a_delivery_batch_stops_once_the_network_terminates():
+    from gasman.protocol import PolSummary
+
+    eng = _Engine(no_churn_cfg())
+    # Six deletions shrink an 8-node replica below the minimum order.
+    summary = PolSummary(
+        sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
+        alive=frozenset({0, 1}), deletions=frozenset(range(2, 8)),
+    )
+    eng._on_deliver(summary, (1, 2))
+    stops = [e for e in eng.trace if "below minimum order" in e.description]
+    assert len(stops) == 1 and eng.terminated_at is not None
+    assert eng.nodes[2].graph.order == 8, "the batch went on past termination"
+
+
+def test_answers_reach_a_window_opened_during_their_hop():
+    from gasman.protocol import PolAnswer
+
+    eng = _Engine(no_churn_cfg(duration=12.0))
+    eng._heap.clear()
+    eng.now_us = 5_500_000
+    answer = PolAnswer(
+        sender=1, stage=eng.nodes[1].stage, sent_at=5.5, claimed_id=1, window=1
+    )
+    eng._broadcast(answer, 1)
+    eng._on_pol_check(3)  # node 3 starts collecting while the answer is in flight
+    (msg, recipients), = [p for *_, p in eng._heap if p and p[0] is answer]
+    eng._on_deliver(msg, recipients)
+    assert list(eng.pending_pol[3]["answers"]) == [1]
+
+
 def test_admission_denial_blocks_every_insertion():
     cfg = no_churn_cfg(
         churn=ChurnConfig(0.5, 0.0, 0.0), duration=40.0, admission_deny_prob=1.0
@@ -166,6 +241,37 @@ def test_determinism_trace_and_metrics_bytes():
     a, b = run_scenario(cfg), run_scenario(cfg)
     assert a.trace_text() == b.trace_text()
     assert a.metrics.to_json() == b.metrics.to_json()
+
+
+@pytest.mark.parametrize(
+    "connectivity, terminated_at, trace_sha, metrics_sha",
+    [
+        (
+            GeometricConfig(300.0, 20.0, 0.5, 150.0, 5.0), 47.0,
+            "98dd37e48357aac2ee77081ccce8cecb15cc297e115240a8ebb1d67baeb8d552",
+            "e5aa79f1e872d7376bfebbcfc31197a7170c876d99fc27f0b770d47c9aef85e8",
+        ),
+        (
+            "full_mesh", 45.0,
+            "53c7ff064cdeeb139c8389e2a4107aa2c06b36fa00bd66f480a27d6e9a5c94cb",
+            "b1d06804bf3474dff89d74e0979e446c1a1f97ccb3cda0e5a13dc1b2bc463f5e",
+        ),
+    ],
+    ids=["geometric", "full_mesh"],
+)
+def test_golden_trace_and_metrics_digests(connectivity, terminated_at, trace_sha, metrics_sha):
+    # Frozen output bytes: an engine optimization must leave them unchanged.
+    cfg = ScenarioConfig(
+        n_initial=12, m=24, T=5.0, l=10, duration=80.0, seed=2,
+        churn=ChurnConfig(0.2, 0.3, 0.05), connectivity=connectivity,
+    )
+    result = run_scenario(cfg)
+    text = result.trace_text()
+    # The scenario must keep exercising insertion, deletion and termination.
+    assert "Insertion of Node" in text and "is deleted" in text
+    assert (result.outcome, result.terminated_at) == ("terminated", terminated_at)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == trace_sha
+    assert hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest() == metrics_sha
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +361,81 @@ def test_reachability_distance_bands():
 def test_full_mesh_reaches_everyone_as_secure():
     cfg = no_churn_cfg()
     assert reachable(1, 2, {}, cfg) is Reach.DATA_AND_SECURE
-    flood = broadcast_deliver(0, {0, 1, 2, 3}, {}, cfg)
+    flood = broadcast_deliver(0, {0, 1, 2, 3}, None)
     assert flood.recipients == frozenset({1, 2, 3})
     assert flood.deliveries == 4 * 3
 
 
 def test_flood_stays_within_the_connected_component():
-    cfg = geo_cfg()
     positions = place({0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (1000, 0), 4: (1100, 0)})
-    flood = broadcast_deliver(0, set(positions), positions, cfg)
+    flood = broadcast_deliver(0, set(positions), disk_links(positions, GEO))
     assert flood.recipients == frozenset({1, 2})
     assert flood.forwarders == frozenset({0, 1, 2})
 
 
 def test_each_node_forwards_a_broadcast_at_most_once():
     rng = Random(8)
-    cfg = geo_cfg()
     for _ in range(20):
         positions = place(
             {i: (rng.uniform(0, 500), rng.uniform(0, 500)) for i in range(12)}
         )
         sender = rng.randrange(12)
-        flood = broadcast_deliver(sender, set(positions), positions, cfg)
+        flood = broadcast_deliver(sender, set(positions), disk_links(positions, GEO))
         # Forwarders are a set: one transmission per node per broadcast id.
         assert len(flood.forwarders) <= 12
         assert flood.recipients <= frozenset(positions) - {sender}
+
+
+def pairwise_flood(sender, online, positions, cfg):
+    """Reference flood: links from pairwise ``reachable`` calls, breadth first."""
+    members = online | {sender}
+    near = {
+        u: {v for v in members if v != u and reachable(u, v, positions, cfg) is not Reach.NONE}
+        for u in members
+    }
+    seen, frontier = {sender}, [sender]
+    while frontier:
+        frontier = [v for u in frontier for v in near[u] if v not in seen]
+        seen.update(frontier)
+    deliveries = sum(len(near[u]) for u in seen)
+    return frozenset(seen - {sender}), frozenset(seen), deliveries
+
+
+# Integer coordinates and ranges put some pairs exactly on a range boundary.
+COORD = st.integers(0, 400) | st.floats(0, 400)
+RANGE = st.integers(1, 300) | st.floats(1, 300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coords=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=14),
+    data_range=RANGE,
+    secure_range=RANGE,
+    data=st.data(),
+)
+def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
+    coords, data_range, secure_range, data
+):
+    positions = place(dict(enumerate(coords)))
+    geo = GeometricConfig(500.0, 20.0, 0.5, data_range, secure_range)
+    cfg = no_churn_cfg(connectivity=geo)
+    # Positioned nodes left out of ``online`` are the off-line ones.
+    online = data.draw(st.sets(st.sampled_from(sorted(positions))))
+    sender = data.draw(st.sampled_from(sorted(positions)))
+    flood = broadcast_deliver(sender, online, disk_links(positions, geo))
+    assert (flood.recipients, flood.forwarders, flood.deliveries) == pairwise_flood(
+        sender, online, positions, cfg
+    )
+
+
+def test_neighbor_table_links_within_either_range():
+    positions = place({0: (0, 0), 1: (50, 0), 2: (110, 0), 3: (400, 0)})
+    # The secure range exceeds the data range: a pair in secure range only
+    # is still reachable, so it is linked.
+    geo = GeometricConfig(500.0, 20.0, 0.5, 60.0, 120.0)
+    assert disk_links(positions, geo) == {
+        0: frozenset({1, 2}), 1: frozenset({0, 2}), 2: frozenset({0, 1}), 3: frozenset(),
+    }
 
 
 def test_secure_channel_never_crosses_a_data_only_pair():
