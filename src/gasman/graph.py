@@ -5,12 +5,18 @@ Hamiltonian cycle in it.  Membership changes are local splice edits on both,
 so every operation in this module is a pure function from old values to new
 values.  All randomness enters through an explicit ``random.Random`` so that
 callers stay reproducible.
+
+Instance values are built once and shared.  Only the public ``Graph(...)``
+constructor validates; the splices and ``permute_graph`` build through the
+trusted ``Graph._trusted``.  A graph keeps its encoding once computed, and the
+splices are memoized by value, so all replicas share one graph and cycle.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 from typing import Iterable
 
@@ -21,6 +27,9 @@ ENCODING_VERSION = 0x01
 
 #: Random-draw budget for the unambiguous-neighbor-set construction.
 NEIGHBOR_SET_RETRY_BUDGET = 1000
+
+#: Splice results kept; replicas apply records in lockstep, so a few suffice.
+SPLICE_MEMO_SIZE = 4
 
 
 class GraphError(ValueError):
@@ -76,6 +85,7 @@ class Graph:
 
     vertices: frozenset[NodeId]
     edges: frozenset[tuple[NodeId, NodeId]]
+    _encoding: bytes = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
@@ -89,6 +99,14 @@ class Graph:
             normalized.add(_norm_edge(u, v))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", frozenset(normalized))
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset, edges: frozenset) -> "Graph":
+        """Build, unchecked, from normalized loop-free edges within ``vertices``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def order(self) -> int:
@@ -217,14 +235,16 @@ def _pack_ids(ids: Iterable[NodeId]) -> bytes:
 
 
 def encode_graph(g: Graph) -> bytes:
-    """Sorted vertex list, then sorted edge list, smaller endpoint first."""
-    edges = sorted(g.edges)
-    head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
-    try:
-        body = struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e))
-    except struct.error as exc:
-        raise GraphError(f"node id out of encodable range: {exc}") from exc
-    return head + body
+    """Sorted vertex list, then sorted edge list, smaller endpoint first; kept on ``g``."""
+    if g._encoding is None:
+        edges = sorted(g.edges)
+        head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
+        try:
+            body = struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e))
+        except struct.error as exc:
+            raise GraphError(f"node id out of encodable range: {exc}") from exc
+        object.__setattr__(g, "_encoding", head + body)
+    return g._encoding
 
 
 def encode_cycle(hc: HamiltonianCycle) -> bytes:
@@ -261,9 +281,9 @@ def permute_graph(g: Graph, p: Permutation) -> Graph:
     if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
     mapping = p.as_dict()
-    return Graph(
-        frozenset(mapping[v] for v in g.vertices),
-        frozenset(_norm_edge(mapping[u], mapping[v]) for u, v in g.edges),
+    # A bijection of the vertex set keeps the set and cannot make a self-loop.
+    return Graph._trusted(
+        g.vertices, frozenset(_norm_edge(mapping[u], mapping[v]) for u, v in g.edges)
     )
 
 
@@ -434,36 +454,51 @@ def splice_insert(
     """Insert ``new_id`` between the unique adjacent pair of ``neighbors``.
 
     The displaced cycle edge stays in the graph; only the cycle routes around
-    the newcomer.
+    the newcomer.  Equal arguments return the same (memoized) objects.
     """
-    neighbor_set = frozenset(neighbors)
-    if new_id < 0 or new_id in g.vertices or not neighbor_set <= g.vertices:
+    return _splice_insert(g, hc, new_id, frozenset(neighbors))
+
+
+@lru_cache(maxsize=SPLICE_MEMO_SIZE)
+def _splice_insert(
+    g: Graph, hc: HamiltonianCycle, new_id: NodeId, neighbor_set: frozenset[NodeId]
+) -> tuple[Graph, HamiltonianCycle]:
+    # Ids must be ints: a float equal to a member id would pass the other
+    # checks, share the memo entry of that int and then fail to encode.
+    if (not all(isinstance(v, int) for v in (new_id, *neighbor_set)) or new_id < 0
+            or new_id in g.vertices or not neighbor_set <= g.vertices):
         raise InvalidSplice("invalid splice")
     v_j, v_k = locate_insertion_pair(hc, neighbor_set)
     i = hc.order.index(v_j)
     new_order = hc.order[: i + 1] + (new_id,) + hc.order[i + 1:]
-    new_graph = Graph(
+    # The newcomer is not a vertex yet, so none of its edges is a loop.
+    new_graph = Graph._trusted(
         g.vertices | {new_id},
         g.edges | {_norm_edge(new_id, w) for w in neighbor_set},
     )
     return new_graph, HamiltonianCycle(new_order)
 
 
+@lru_cache(maxsize=SPLICE_MEMO_SIZE)
 def splice_delete(
     g: Graph, hc: HamiltonianCycle, victim: NodeId
 ) -> tuple[Graph, HamiltonianCycle]:
     """Remove ``victim``, bridging its two cycle neighbors with a new edge.
 
     Every edge incident to the victim leaves the graph; the bridge edge joins
-    its former cycle neighbors so the cycle stays closed.
+    its former cycle neighbors so the cycle stays closed.  Memoized like
+    :func:`splice_insert`.
     """
     if victim not in g.vertices or victim not in hc.vertices:
         raise UnknownNode("unknown node")
     if len(g.vertices) < 4:
         raise BelowMinimumOrder("below minimum order")
     v_j, v_k = hc.neighbors_of(victim)
+    # The bridge must be an edge between two other vertices of the graph.
+    if v_j == v_k or v_j not in g.vertices or v_k not in g.vertices:
+        raise InvalidSplice("cycle does not match the graph")
     new_edges = {e for e in g.edges if victim not in e}
     new_edges.add(_norm_edge(v_j, v_k))
-    new_graph = Graph(g.vertices - {victim}, frozenset(new_edges))
+    new_graph = Graph._trusted(g.vertices - {victim}, frozenset(new_edges))
     new_order = tuple(v for v in hc.order if v != victim)
     return new_graph, HamiltonianCycle(new_order)

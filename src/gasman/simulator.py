@@ -14,7 +14,9 @@ change that places a node, and shared by every broadcast until positions
 change again.  Traffic is accounted per delivery: each node forwards a
 broadcast at most once and every copy a receiver hears is counted at the
 message's encoded size plus a fixed header.  A broadcast then reaches its
-recipients as one delivery event, handled in recipient id order.
+recipients as one delivery event, handled in recipient id order.  A
+membership step due while a membership update is still on the air waits
+until that update has landed.
 """
 
 from __future__ import annotations
@@ -547,7 +549,6 @@ class _Engine:
         )
         self.rng = Random(cfg.seed)
         self.now_us = 0
-        self._seq = 0
         self._heap: list[tuple[int, int, str, tuple]] = []
         self.trace: list[TraceEvent] = []
         self.metrics = TrafficMetrics()
@@ -569,6 +570,8 @@ class _Engine:
         self.last_summary_alive: frozenset[NodeId] = frozenset()
         self.pending_pol: dict[NodeId, dict] = {}
         self.pending_insert: Optional[dict] = None
+        # When the last membership update on the air lands (see ``_defer``).
+        self._update_lands_us = 0
         # Positions are replaced, never edited, so a new dict means a new
         # neighbor table (see ``_link_table``).
         self.positions: dict[NodeId, WaypointState] = {}
@@ -580,16 +583,19 @@ class _Engine:
                 self.positions[v] = WaypointState(
                     x=self.rng.uniform(0.0, side), y=self.rng.uniform(0.0, side)
                 )
-            for tick in range(1, int(_us(cfg.duration) // MOVE_DT_US) + 1):
-                self._push(tick * MOVE_DT_US, "move", ())
+        duration_us = _us(cfg.duration)
+        self._moves = duration_us // MOVE_DT_US if self.positions else 0
+        self._churns = min(int(cfg.duration), duration_us // 1_000_000)
 
         members = ", ".join(str(v) for v in sorted(self.nodes))
         self._trace(f"{members} are legitimate", snapshot=cycle)
 
-        duration_us = _us(cfg.duration)
-        for second in range(1, int(cfg.duration) + 1):
-            if second * 1_000_000 <= duration_us:
-                self._push(second * 1_000_000, "churn", ())
+        # Each periodic tick queues the next, so the heap stays O(n) for any
+        # duration.  Ticks keep the sequence numbers they would get if all
+        # were queued here, so the (time, seq) order is unchanged.
+        self._seq = self._moves + self._churns
+        self._queue_tick("move", 1)
+        self._queue_tick("churn", 1)
         for v in sorted(self.nodes):
             self._schedule_pol_check(v)
         for i, op in enumerate(sorted(cfg.script, key=lambda o: (o.time, o.op))):
@@ -608,6 +614,13 @@ class _Engine:
     def _push(self, t_us: int, kind: str, payload: tuple) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (t_us, self._seq, kind, payload))
+
+    def _queue_tick(self, kind: str, k: int) -> None:
+        # Move tick k holds sequence number k; churn second k, moves + k.
+        if kind == "move" and k <= self._moves:
+            heapq.heappush(self._heap, (k * MOVE_DT_US, k, kind, (k,)))
+        elif kind == "churn" and k <= self._churns:
+            heapq.heappush(self._heap, (k * 1_000_000, self._moves + k, kind, (k,)))
 
     def _trace(self, description: str, snapshot: Optional[HamiltonianCycle] = None) -> None:
         self.trace.append(
@@ -671,8 +684,19 @@ class _Engine:
         self.message_log.append(msg)
         if flood.recipients:
             self._push(self.now_us + HOP_US, "deliver", (msg, tuple(sorted(flood.recipients))))
+            if isinstance(msg, NeighborSetBroadcast) or (isinstance(msg, PolSummary) and msg.deletions):
+                self._update_lands_us = self.now_us + HOP_US
 
     # -- scheduling --------------------------------------------------------
+
+    def _defer(self, kind: str, payload: tuple) -> bool:
+        """Requeue a membership step to run just after the update on the air
+        lands.  Run now, it would splice, delete from or catch up on a replica
+        the update has not reached, and a newcomer would never hear it."""
+        if self.now_us >= self._update_lands_us:
+            return False
+        self._push(self._update_lands_us, kind, payload)
+        return True
 
     def _schedule_pol_check(self, node: NodeId) -> None:
         t = self.last_proof_us[node] + _us(self.cfg.T) + _stagger_us(node)
@@ -693,14 +717,15 @@ class _Engine:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_move(self) -> None:
-        if isinstance(self.cfg.connectivity, GeometricConfig):
-            self.positions = step_mobility(
-                self.positions, self.cfg.connectivity, self.rng,
-                _sec(MOVE_DT_US), self.now_s,
-            )
+    def _on_move(self, tick: int) -> None:
+        self._queue_tick("move", tick + 1)
+        self.positions = step_mobility(
+            self.positions, self.cfg.connectivity, self.rng,
+            _sec(MOVE_DT_US), self.now_s,
+        )
 
-    def _on_churn(self) -> None:
+    def _on_churn(self, second: int) -> None:
+        self._queue_tick("churn", second + 1)
         churn = self.cfg.churn
         if self.rng.random() < churn.insertion_request:
             self._start_insertion()
@@ -822,6 +847,8 @@ class _Engine:
             pending["answers"][msg.sender] = msg
 
     def _on_pol_close(self, node: NodeId, window: int) -> None:
+        if self._defer("pol_close", (node, window)):
+            return
         state = self.nodes.get(node)
         pending = self.pending_pol.pop(node, None)
         if state is None or pending is None or state.status is not NodeStatus.ONLINE:
@@ -934,6 +961,8 @@ class _Engine:
             pending["acks"].add(msg.sender)
 
     def _on_ack_close(self, author_id: NodeId) -> None:
+        if self._defer("ack_close", (author_id,)):
+            return
         pending, self.pending_insert = self.pending_insert, None
         if pending is None or pending["author"] != author_id:
             return
@@ -1040,6 +1069,8 @@ class _Engine:
             self._push(self.now_us + 2 * HOP_US + _stagger_us(node), "reentry", (node,))
 
     def _on_reentry(self, node: NodeId) -> None:
+        if self._defer("reentry", (node,)):
+            return
         state = self.nodes.get(node)
         if state is None or state.status is not NodeStatus.OFFLINE:
             return

@@ -10,6 +10,7 @@ from gasman.graph import (
     AmbiguousBroadcast,
     BelowMinimumOrder,
     Graph,
+    GraphError,
     HamiltonianCycle,
     InvalidParameters,
     InvalidSplice,
@@ -359,6 +360,88 @@ def test_splice_closure_over_random_op_sequences(seed):
             victims = sorted(g.vertices)
             g, hc = splice_delete(g, hc, victims[rng.randrange(len(victims))])
         assert is_hamiltonian_cycle(g, hc)
+
+
+# ---------------------------------------------------------------------------
+# Shared values: splice memo, cached encoding, trusted construction
+# ---------------------------------------------------------------------------
+
+def validated_insert(g, hc, new_id, neighbors):
+    """``splice_insert`` rebuilt through the validating public constructor."""
+    v_j, _ = locate_insertion_pair(hc, neighbors)
+    i = hc.order.index(v_j)
+    return (
+        Graph(g.vertices | {new_id}, g.edges | {(new_id, w) for w in neighbors}),
+        HamiltonianCycle(hc.order[: i + 1] + (new_id,) + hc.order[i + 1:]),
+    )
+
+
+def validated_delete(g, hc, victim):
+    """``splice_delete`` rebuilt through the validating public constructor."""
+    bridge = hc.neighbors_of(victim)
+    return (
+        Graph(g.vertices - {victim}, {e for e in g.edges if victim not in e} | {bridge}),
+        HamiltonianCycle(tuple(v for v in hc.order if v != victim)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), inserts=st.lists(st.booleans(), min_size=1, max_size=25))
+def test_memoized_splices_match_validated_construction(seed, inserts):
+    rng = Random(seed)
+    g, hc = build_initial_graph(8, 16, rng)
+    for insert in inserts:
+        # Equal values held by another replica: rebuilt, not shared.
+        g_copy, hc_copy = Graph(g.vertices, g.edges), HamiltonianCycle(hc.order)
+        if insert or g.order <= 5:
+            neighbors = neighbor_set_for_insert(g, hc, 3, rng)
+            new_id = assign_new_id(g)
+            out = splice_insert(g, hc, new_id, neighbors)
+            expected = validated_insert(g, hc, new_id, neighbors)
+            for _ in range(2):
+                with pytest.raises(InvalidSplice):
+                    splice_insert(g, hc, min(g.vertices), neighbors)
+                with pytest.raises(AmbiguousBroadcast):
+                    splice_insert(g, hc, new_id, hc.order[:3])
+            again = splice_insert(g_copy, hc_copy, new_id, sorted(neighbors))
+        else:
+            victim = sorted(g.vertices)[rng.randrange(g.order)]
+            out = splice_delete(g, hc, victim)
+            expected = validated_delete(g, hc, victim)
+            for _ in range(2):
+                with pytest.raises(UnknownNode):
+                    splice_delete(g, hc, max(g.vertices) + 1)
+            again = splice_delete(g_copy, hc_copy, victim)
+        assert out == expected
+        assert encode_graph(out[0]) == encode_graph(expected[0])
+        assert encode_graph(out[0]) is encode_graph(out[0])
+        assert again[0] is out[0] and again[1] is out[1]
+        assert is_hamiltonian_cycle(*out)
+        g, hc = out
+
+
+def test_splice_insert_rejects_non_integer_ids_before_the_memo_sees_them():
+    g = cycle_graph((0, 1, 2, 3))
+    hc = HamiltonianCycle((0, 1, 2, 3))
+    with pytest.raises(InvalidSplice):
+        splice_insert(g, hc, 4, {0.0, 1})  # equal to {0, 1}, but not encodable
+    with pytest.raises(InvalidSplice):
+        splice_insert(g, hc, 4.0, {0, 1})
+    g1, _ = splice_insert(g, hc, 4, {0, 1})
+    assert encode_graph(g1) == encode_graph(Graph(g1.vertices, g1.edges))
+
+
+def test_splice_delete_rejects_a_cycle_that_leaves_the_graph():
+    g = cycle_graph((0, 1, 2, 3, 4))
+    with pytest.raises(InvalidSplice):
+        splice_delete(g, HamiltonianCycle((0, 1, 2, 9, 4)), 2)  # bridge to 9
+
+
+def test_public_graph_constructor_still_validates():
+    with pytest.raises(GraphError, match="self-loop"):
+        Graph(frozenset({0, 1}), frozenset({(1, 1)}))
+    with pytest.raises(GraphError, match="outside the vertex set"):
+        Graph(frozenset({0, 1}), frozenset({(0, 2)}))
 
 
 # ---------------------------------------------------------------------------

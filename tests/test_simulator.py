@@ -211,6 +211,68 @@ def test_answers_reach_a_window_opened_during_their_hop():
     assert list(eng.pending_pol[3]["answers"]) == [1]
 
 
+def test_replicas_share_one_instance_after_a_broadcast_insertion():
+    from gasman.protocol import NodeStatus
+
+    cfg = no_churn_cfg(
+        T=1000.0, duration=3.0, script=(ScriptedOp(time=1.0, op="insert", author=0),)
+    )
+    eng = _Engine(cfg)
+    eng.run()
+    online = [s for s in eng.nodes.values() if s.status is NodeStatus.ONLINE]
+    assert len(online) == cfg.n_initial + 1 and {s.stage for s in online} == {1}
+    assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
+
+
+def test_engine_queues_one_tick_per_periodic_stream_for_any_duration():
+    eng = _Engine(no_churn_cfg(connectivity=GEO, duration=1e5))
+    kinds = [kind for _, _, kind, _ in eng._heap]
+    assert kinds.count("move") == 1 and kinds.count("churn") == 1
+    assert len(eng._heap) == len(eng.nodes) + 2
+
+
+def test_ticks_keep_their_up_front_order_against_same_time_events():
+    # Ticks are queued one by one, but sort as if all were queued at start:
+    # move before churn before the scripted ops queued after them.
+    script = tuple(ScriptedOp(time=t, op="turn_on", node=0) for t in (1.0, 2.0))
+    eng = _Engine(no_churn_cfg(connectivity=GEO, duration=2.0, script=script))
+    seen = []
+    for kind in ("move", "churn", "script"):
+        handler = getattr(eng, f"_on_{kind}")
+        setattr(eng, f"_on_{kind}", lambda *a, kind=kind, h=handler: (
+            seen.append((eng.now_us, kind)), h(*a)))
+    eng.run()
+    assert seen == [
+        (500_000, "move"),
+        (1_000_000, "move"), (1_000_000, "churn"), (1_000_000, "script"),
+        (1_500_000, "move"),
+        (2_000_000, "move"), (2_000_000, "churn"), (2_000_000, "script"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [79, 82, 714])
+def test_no_membership_step_acts_inside_the_hop_of_an_update(seed, tmp_path):
+    # At these seeds an update is still on the air when another membership
+    # step runs: a deleting summary when an insertion commits (79), an
+    # insertion when a node catches up on re-entry (82) and when a proof of
+    # life closes (714).  Acting before it lands gave stale trace snapshots
+    # and, at 79 and 82, replicas that never converged again.
+    from gasman.cli import main
+    from gasman.protocol import NodeStatus
+
+    cfg = no_churn_cfg(
+        n_initial=12, m=24, T=2.0, l=5, duration=60.0, seed=seed,
+        churn=ChurnConfig(0.5, 0.3, 0.3),
+    )
+    eng = _Engine(cfg)
+    result = eng.run()
+    trace = tmp_path / "trace.tsv"
+    trace.write_text(result.trace_text(), encoding="utf-8")
+    assert main(["trace-check", str(trace)]) == 0
+    online = [s for s in eng.nodes.values() if s.status is NodeStatus.ONLINE]
+    assert len({s.fingerprint() for s in online}) == 1, "on-line replicas diverged"
+
+
 def test_admission_denial_blocks_every_insertion():
     cfg = no_churn_cfg(
         churn=ChurnConfig(0.5, 0.0, 0.0), duration=40.0, admission_deny_prob=1.0
