@@ -79,7 +79,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = ScenarioConfig.from_json(text)
         if args.seed is not None:
-            cfg = _with_seed(cfg, args.seed)
+            cfg = replace(cfg, seed=args.seed)
         result = run_scenario(cfg)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -90,10 +90,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"life-cycle terminated at {result.terminated_at:.2f}s", file=sys.stderr)
         return 2
     return 0
-
-
-def _with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)
 
 
 # ---------------------------------------------------------------------------

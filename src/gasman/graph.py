@@ -215,9 +215,6 @@ class Permutation:
     def as_dict(self) -> dict[NodeId, NodeId]:
         return dict(zip(self.domain, self.image))
 
-    def apply(self, v: NodeId) -> NodeId:
-        return self.as_dict()[v]
-
     def inverse(self) -> "Permutation":
         return Permutation(self.image, self.domain)
 
@@ -391,7 +388,6 @@ def neighbor_set_for_insert(
     hc: HamiltonianCycle,
     degree: int,
     rng: Random,
-    retry_budget: int = NEIGHBOR_SET_RETRY_BUDGET,
 ) -> frozenset[NodeId]:
     """Choose a neighbor group for a joining node.
 
@@ -404,7 +400,7 @@ def neighbor_set_for_insert(
         raise UnsatisfiableNeighborSet("cannot construct unambiguous neighbor set")
     order = hc.order
     n = len(order)
-    for _ in range(retry_budget):
+    for _ in range(NEIGHBOR_SET_RETRY_BUDGET):
         k = rng.randrange(n)
         v_j, v_k = order[k], order[(k + 1) % n]
         chosen = [v_j, v_k]

@@ -282,8 +282,6 @@ MESSAGE_TYPES = (
     AccessGrant,
 )
 
-ProtocolMessage = Message
-
 
 # ---------------------------------------------------------------------------
 # Node state and configuration
@@ -294,15 +292,14 @@ class ProtocolConfig:
     """Network-wide parameters agreed before the life-cycle starts.
 
     ``T`` is both the maximum tolerated off-line period and the proof-of-life
-    cadence, in simulated seconds.  Quorums compare against
-    ``quorum_fraction`` of the currently legitimate (non-deleted) node count
-    as recorded in the responder's own replica; "less than quorum" aborts.
+    cadence, in simulated seconds.  A quorum is half the currently legitimate
+    (non-deleted) node count as recorded in the responder's own replica;
+    "less than quorum" aborts.
     """
 
     T: float
     l: int = zkp.DEFAULT_ROUNDS
     termination_threshold: int = 3
-    quorum_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.T <= 0:
@@ -318,7 +315,7 @@ class ProtocolConfig:
         return 2 * self.T
 
     def quorum_met(self, answers: int, legitimate: int) -> bool:
-        return answers >= self.quorum_fraction * legitimate
+        return 2 * answers >= legitimate
 
     def window_of(self, now: float) -> int:
         return int(now // self.T)
@@ -333,7 +330,6 @@ class NodeState:
     graph: Graph
     cycle: Optional[HamiltonianCycle]
     stage: int = 0
-    last_seen_stage: int = 0
     pol_clock: float = 0.0
     fifo: list[UpdateRecord] = field(default_factory=list)
     last_update_time: float = 0.0
@@ -466,10 +462,10 @@ def apply_insertion_update(
     """Splice a broadcast insertion into a replica.
 
     A proposed id that is already a vertex is the duplicate-id attack from
-    the Sybil analysis: the update is rejected and the sender flagged.
+    the Sybil analysis: :func:`detect_sybil` flags the sender and the update
+    is rejected.
     """
-    if broadcast.node in state.graph.vertices:
-        state.sybil_flags.add(broadcast.sender)
+    if detect_sybil(state, (broadcast,)):
         raise DuplicateIdError("ID already assigned")
     record = InsertionRecord(state.stage + 1, broadcast.node, broadcast.neighbors, broadcast.sender, now)
     apply_update_record(state, record, cfg)
@@ -519,7 +515,11 @@ def access_control(
     recorded_digest, stage_time = history
     if now - stage_time > cfg.T:
         return Denied("expired membership")
-    if digest(encode_graph(req.claimed_graph)) != recorded_digest:
+    try:
+        claimed_digest = digest(encode_graph(req.claimed_graph))
+    except GraphError:  # an id no encoding can carry matches no recorded graph
+        claimed_digest = None
+    if claimed_digest != recorded_digest:
         # Fabricated instance, or a replica from the far side of a partition:
         # either way the proof would be meaningless, so refuse to run it.
         return Denied("graph mismatch")
@@ -690,18 +690,21 @@ def detect_sybil(state: NodeState, evidence: Iterable[Message]) -> set[NodeId]:
     """Flag senders showing duplicate-identity behavior in a message stream.
 
     Rules: requesting access with an id currently in use on-line; announcing
-    an insertion under an id already assigned; or answering proofs of life
-    for two or more distinct ids within one window.
+    or broadcasting an insertion under an id already assigned; or answering
+    proofs of life for two or more distinct ids within one window.  The
+    insertion handler and the engine ask here rather than judge themselves.
     """
     flagged: set[NodeId] = set()
-    answers_by_sender: dict[tuple[NodeId, int], set[NodeId]] = {}
+    claimed_ids: dict[tuple[NodeId, int], set[NodeId]] = {}
     for msg in evidence:
         if isinstance(msg, AccessRequest) and msg.claimed_id in state.online_view:
             flagged.add(msg.sender)
         elif isinstance(msg, InsertionAnnounce) and msg.proposed_id in state.graph.vertices:
             flagged.add(msg.sender)
+        elif isinstance(msg, NeighborSetBroadcast) and msg.node in state.graph.vertices:
+            flagged.add(msg.sender)
         elif isinstance(msg, PolAnswer):
-            ids = answers_by_sender.setdefault((msg.sender, msg.window), set())
+            ids = claimed_ids.setdefault((msg.sender, msg.window), set())
             ids.add(msg.claimed_id)
             if len(ids) >= 2:
                 flagged.add(msg.sender)

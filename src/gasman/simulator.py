@@ -64,6 +64,7 @@ from .protocol import (
     apply_insertion_update,
     authenticator_insert,
     check_termination,
+    detect_sybil,
     proof_of_life_cycle,
 )
 from .zkp import HonestProver
@@ -540,6 +541,23 @@ def _stagger_us(node: NodeId) -> int:
     return ((node * 9973) % 97 + 1) * 1_000
 
 
+# What an initiator or an authenticator holds while it collects replies.
+@dataclass
+class _PolWindow:
+    window: int
+    sent_at_us: int
+    answers: dict[NodeId, PolAnswer] = field(default_factory=dict)
+
+
+@dataclass
+class _Insertion:
+    author: NodeId
+    proposed: NodeId
+    forced_id: Optional[NodeId]
+    forced_neighbors: Optional[frozenset[NodeId]]
+    acks: set[NodeId] = field(default_factory=set)
+
+
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
@@ -568,8 +586,8 @@ class _Engine:
         self.turn_off_us: dict[NodeId, int] = {}
         self.last_summary_us: int = -1
         self.last_summary_alive: frozenset[NodeId] = frozenset()
-        self.pending_pol: dict[NodeId, dict] = {}
-        self.pending_insert: Optional[dict] = None
+        self.pending_pol: dict[NodeId, _PolWindow] = {}
+        self.pending_insert: Optional[_Insertion] = None
         # When the last membership update on the air lands (see ``_defer``).
         self._update_lands_us = 0
         # Positions are replaced, never edited, so a new dict means a new
@@ -783,8 +801,7 @@ class _Engine:
         if state is None or state.status is not NodeStatus.ONLINE:
             return
         T_us = _us(self.cfg.T)
-        clock_us = self.now_us - self.last_proof_us[node]
-        if clock_us <= T_us:
+        if self.now_us - self.last_proof_us[node] <= T_us:
             self._schedule_pol_check(node)
             return
         window = self.now_us // T_us
@@ -793,11 +810,8 @@ class _Engine:
             self._push((window + 1) * T_us + _stagger_us(node), "pol_check", (node,))
             return
         self.handled_window[node] = window
-        state.pol_clock = _sec(clock_us)
         self._trace(f"Proof of life started by Node {node}")
-        self.pending_pol[node] = {
-            "window": window, "sent_at": self.now_us, "answers": {}, "by_sender": {},
-        }
+        self.pending_pol[node] = _PolWindow(window, self.now_us)
         msg = PolInitiate(
             sender=node, stage=state.stage, sent_at=self.now_s, window=window
         )
@@ -809,10 +823,10 @@ class _Engine:
             self.handled_window.get(state.id, -1), msg.window
         )
         pending = self.pending_pol.get(state.id)
-        if pending is not None and pending["window"] == msg.window:
+        if pending is not None and pending.window == msg.window:
             # Two initiators raced within a hop: the earlier broadcast wins
             # (ties break on id), the other concedes and answers like anyone.
-            if (msg.sent_at, msg.sender) < (_sec(pending["sent_at"]), state.id):
+            if (msg.sent_at, msg.sender) < (_sec(pending.sent_at_us), state.id):
                 self.pending_pol.pop(state.id)
             else:
                 return
@@ -835,16 +849,14 @@ class _Engine:
 
     def _handle_pol_answer(self, state: NodeState, msg: PolAnswer) -> None:
         pending = self.pending_pol.get(state.id)
-        if pending is None or pending["window"] != msg.window:
+        if pending is None or pending.window != msg.window:
             return
-        ids = pending["by_sender"].setdefault(msg.sender, set())
-        ids.add(msg.claimed_id)
-        if len(ids) >= 2:
-            state.sybil_flags.add(msg.sender)
-            pending["answers"].pop(msg.sender, None)
-            return
-        if msg.sender not in state.sybil_flags and msg.sender not in pending["answers"]:
-            pending["answers"][msg.sender] = msg
+        earlier = pending.answers.get(msg.sender)
+        if earlier is not None:
+            if detect_sybil(state, (earlier, msg)):
+                del pending.answers[msg.sender]
+        elif msg.sender not in state.sybil_flags:
+            pending.answers[msg.sender] = msg
 
     def _on_pol_close(self, node: NodeId, window: int) -> None:
         if self._defer("pol_close", (node, window)):
@@ -853,10 +865,9 @@ class _Engine:
         pending = self.pending_pol.pop(node, None)
         if state is None or pending is None or state.status is not NodeStatus.ONLINE:
             return
-        state.pol_clock = _sec(self.now_us - self.last_proof_us[node])
         self.last_proof_us[node] = self.now_us
         outcome = proof_of_life_cycle(
-            state, pending["answers"].values(), self.pcfg, self.now_s, window=window
+            state, pending.answers.values(), self.pcfg, self.now_s, window=window
         )
         if not isinstance(outcome, PolCompleted):
             self._trace(
@@ -928,19 +939,12 @@ class _Engine:
         announce = InsertionAnnounce(
             sender=auth_id, stage=auth.stage, sent_at=self.now_s, proposed_id=proposed
         )
-        self.pending_insert = {
-            "author": auth_id,
-            "proposed": proposed,
-            "acks": set(),
-            "forced_id": forced_id,
-            "forced_neighbors": forced_neighbors,
-        }
+        self.pending_insert = _Insertion(auth_id, proposed, forced_id, forced_neighbors)
         self._broadcast(announce, auth_id)
         self._push(self.now_us + COLLECT_CLOSE_US, "ack_close", (auth_id,))
 
     def _handle_insertion_announce(self, state: NodeState, msg: InsertionAnnounce) -> None:
-        if msg.proposed_id in state.graph.vertices:
-            state.sybil_flags.add(msg.sender)  # duplicate-id insertion attempt
+        if detect_sybil(state, (msg,)):
             return
         latency = self.rng.randrange(ANSWER_LATENCY_US)
         self._push(self.now_us + latency, "insertion_ack_send", (state.id, msg.sender, msg.proposed_id))
@@ -957,26 +961,26 @@ class _Engine:
 
     def _handle_insertion_ack(self, state: NodeState, msg: InsertionAck) -> None:
         pending = self.pending_insert
-        if pending and pending["author"] == state.id and pending["proposed"] == msg.proposed_id:
-            pending["acks"].add(msg.sender)
+        if pending and pending.author == state.id and pending.proposed == msg.proposed_id:
+            pending.acks.add(msg.sender)
 
     def _on_ack_close(self, author_id: NodeId) -> None:
         if self._defer("ack_close", (author_id,)):
             return
         pending, self.pending_insert = self.pending_insert, None
-        if pending is None or pending["author"] != author_id:
+        if pending is None or pending.author != author_id:
             return
         auth = self.nodes.get(author_id)
         if auth is None or auth.status is not NodeStatus.ONLINE:
             return
         outcome = authenticator_insert(
             auth,
-            len(pending["acks"]),
+            len(pending.acks),
             self.rng,
             self.now_s,
             self.pcfg,
-            forced_id=pending["forced_id"],
-            forced_neighbors=pending["forced_neighbors"],
+            forced_id=pending.forced_id,
+            forced_neighbors=pending.forced_neighbors,
         )
         if isinstance(outcome, Aborted):
             self._trace(f"Insertion by Node {author_id} aborted ({outcome.reason})")
@@ -1029,7 +1033,6 @@ class _Engine:
         if state is None or state.status is not NodeStatus.ONLINE:
             return
         state.status = NodeStatus.OFFLINE
-        state.last_seen_stage = state.stage
         self.turn_off_us[node] = self.now_us
         self._trace(f"Node {node} turns off")
         self._check_termination()

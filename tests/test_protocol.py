@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from gasman.graph import HamiltonianCycle, build_initial_graph, is_hamiltonian_cycle
+from gasman.graph import Graph, HamiltonianCycle, build_initial_graph, is_hamiltonian_cycle
 from gasman.protocol import (
     AccessRequest,
     Aborted,
@@ -122,7 +122,6 @@ def offline_copy(nodes, node_id, when):
     """Detach one replica as an off-line supplicant snapshot."""
     state = nodes[node_id]
     state.status = NodeStatus.OFFLINE
-    state.last_seen_stage = state.stage
     return state
 
 
@@ -249,6 +248,21 @@ def test_fabricated_history_graph_is_rejected():
     prover = HonestProver(fake_graph, fake_cycle, Random(51))
     decision = access_control(verifier, req, prover, CFG, Random(52), 1.0)
     assert isinstance(decision, Denied) and decision.reason == "graph mismatch"
+
+
+def test_unencodable_claimed_graph_is_a_mismatch_not_an_error():
+    nodes = make_network(n=8, m=16, seed=1)
+    offline_copy(nodes, 5, when=0.0)
+    verifier = nodes[0]
+    verifier.online_view.discard(5)
+    flags, view = set(verifier.sybil_flags), set(verifier.online_view)
+    # Ids travel as 32-bit unsigned integers, so no encoding carries 2**32.
+    claimed = Graph(verifier.graph.vertices | {2**32}, verifier.graph.edges)
+    req = AccessRequest(sender=5, stage=0, sent_at=1.0, claimed_id=5, claimed_graph=claimed)
+    prover = HonestProver(nodes[5].graph, nodes[5].cycle, Random(51))
+    decision = access_control(verifier, req, prover, CFG, Random(52), 1.0)
+    assert isinstance(decision, Denied) and decision.reason == "graph mismatch"
+    assert verifier.sybil_flags == flags and verifier.online_view == view
 
 
 def test_transport_failure_aborts_the_protocol():
@@ -387,8 +401,10 @@ def test_detect_sybil_duplicate_access_and_insertion():
                       claimed_graph=nodes[0].graph),
         InsertionAnnounce(sender=51, stage=0, sent_at=1.0, proposed_id=7),
         InsertionAnnounce(sender=52, stage=0, sent_at=1.0, proposed_id=11),
+        NeighborSetBroadcast(sender=53, stage=1, sent_at=1.0, node=7, neighbors=frozenset({0, 1})),
+        NeighborSetBroadcast(sender=54, stage=1, sent_at=1.0, node=11, neighbors=frozenset({0, 1})),
     ]
-    assert detect_sybil(nodes[0], stream) == {50, 51}
+    assert detect_sybil(nodes[0], stream) == {50, 51, 53}
 
 
 def test_detect_sybil_ignores_benign_streams():

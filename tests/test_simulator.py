@@ -208,7 +208,51 @@ def test_answers_reach_a_window_opened_during_their_hop():
     eng._on_pol_check(3)  # node 3 starts collecting while the answer is in flight
     (msg, recipients), = [p for *_, p in eng._heap if p and p[0] is answer]
     eng._on_deliver(msg, recipients)
-    assert list(eng.pending_pol[3]["answers"]) == [1]
+    assert list(eng.pending_pol[3].answers) == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=8))
+def test_the_initiator_keeps_the_first_answer_of_each_unflagged_sender(stream):
+    from gasman.protocol import PolAnswer, detect_sybil
+
+    cfg = no_churn_cfg(duration=12.0)
+    eng = _Engine(cfg)
+    eng._heap.clear()
+    eng.now_us = 5_500_000
+    eng._on_pol_check(0)
+    window = eng.pending_pol[0].window
+    answers = [
+        PolAnswer(sender=s, stage=0, sent_at=5.5 + i / 1000, claimed_id=c, window=window)
+        for i, (s, c) in enumerate(stream)
+    ]
+    for answer in answers:
+        eng._on_deliver(answer, (0,))
+    flagged = detect_sybil(_Engine(cfg).nodes[0], answers)
+    assert eng.nodes[0].sybil_flags == flagged
+    first = {}
+    for answer in answers:
+        first.setdefault(answer.sender, answer)
+    kept = {s: a for s, a in first.items() if s not in flagged}
+    assert eng.pending_pol[0].answers == kept
+
+
+def test_merging_partitions_flag_a_duplicate_id_in_a_benign_run():
+    # Partitions that merge leave honest authenticators proposing ids other
+    # replicas already hold; the frozen bytes pin where the flags fire.
+    cfg = ScenarioConfig(
+        n_initial=12, m=24, T=5.0, l=5, duration=100.0, seed=0,
+        churn=ChurnConfig(0.3, 0.2, 0.2),
+        connectivity=GeometricConfig(500.0, 20.0, 0.5, 250.0, 5.0),
+    )
+    eng = _Engine(cfg)
+    result = eng.run()
+    flags = {v: sorted(s.sybil_flags) for v, s in eng.nodes.items() if s.sybil_flags}
+    assert flags == {5: [10], 11: [10], 15: [10]}
+    trace_sha = hashlib.sha256(result.trace_text().encode("utf-8")).hexdigest()
+    metrics_sha = hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest()
+    assert trace_sha == "c9e20f60b1fa39dd77b83af2c837e32a657b7fc876b59117e5c2d3c313e5f886"
+    assert metrics_sha == "a6f6aa6d097b908c53941e8c6d4c163e48fe1c006e290a351c25b25ae546d9dc"
 
 
 def test_replicas_share_one_instance_after_a_broadcast_insertion():
