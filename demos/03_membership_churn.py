@@ -14,7 +14,6 @@ from gasman.protocol import (
     Granted,
     InsertCommitted,
     NodeState,
-    NodeStatus,
     PolAnswer,
     ProtocolConfig,
     access_control,
@@ -44,7 +43,6 @@ print("insert with 6 of 11 acks -> committed, new id", committed.broadcast.node)
 # --- a member sleeps through updates ----------------------------------------
 
 sleeper = nodes[5]
-sleeper.status = NodeStatus.OFFLINE
 print("\nnode 5 goes off-line at stage", sleeper.stage)
 
 for v in sorted(nodes):
@@ -72,7 +70,6 @@ print("replicas byte-identical after replay:",
 # --- proofs of life feed the deletion rule ------------------------------------
 
 initiator = nodes[1]
-initiator.pol_clock = cfg.T + 0.4
 answers = [
     PolAnswer(sender=v, stage=initiator.stage, sent_at=12.0, claimed_id=v, window=1)
     for v in sorted(nodes) if v != 1

@@ -27,7 +27,6 @@ from .graph import (
 )
 from .protocol import (
     NodeState,
-    NodeStatus,
     ProtocolConfig,
     ProtocolError,
     access_control,
@@ -78,7 +77,6 @@ __all__ = [
     "splice_delete",
     "splice_insert",
     "NodeState",
-    "NodeStatus",
     "ProtocolConfig",
     "ProtocolError",
     "access_control",

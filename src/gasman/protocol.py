@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from random import Random
 from typing import Iterable, Optional, Union
 
@@ -38,12 +37,6 @@ class ProtocolError(ValueError):
 
 class DuplicateIdError(ProtocolError):
     """An id that is already assigned was claimed or proposed."""
-
-
-class NodeStatus(Enum):
-    ONLINE = "online"
-    OFFLINE = "offline"
-    DELETED = "deleted"
 
 
 #: Slack added to the deletion window so a member is only removed once a full
@@ -323,16 +316,17 @@ class ProtocolConfig:
 
 @dataclass
 class NodeState:
-    """One node's replica, clocks, and bounded update queue."""
+    """One node's replica and bounded update queue.
+
+    Whether the node is on-line, off-line or deleted is the simulator's to
+    track, not the replica's.
+    """
 
     id: NodeId
-    status: NodeStatus
     graph: Graph
     cycle: Optional[HamiltonianCycle]
     stage: int = 0
-    pol_clock: float = 0.0
     fifo: list[UpdateRecord] = field(default_factory=list)
-    last_update_time: float = 0.0
     online_view: set[NodeId] = field(default_factory=set)
     sybil_flags: set[NodeId] = field(default_factory=set)
     # stage -> (graph digest, time the stage was reached); bounded like the fifo
@@ -347,9 +341,8 @@ class NodeState:
         now: float = 0.0,
         stage: int = 0,
     ) -> "NodeState":
-        state = cls(id=node_id, status=NodeStatus.ONLINE, graph=graph, cycle=cycle, stage=stage)
+        state = cls(id=node_id, graph=graph, cycle=cycle, stage=stage)
         state.online_view = set(graph.vertices)
-        state.last_update_time = now
         state.stage_history[stage] = (digest(encode_graph(graph)), now)
         # Setup itself is everyone's first sign of life; without this record a
         # member could be judged silent before the first window even closes.
@@ -391,7 +384,6 @@ def apply_update_record(state: NodeState, rec: UpdateRecord, cfg: ProtocolConfig
         state.online_view.discard(rec.node)
         state.stage_history[rec.stage] = (digest(encode_graph(state.graph)), rec.timestamp)
     state.fifo.append(rec)
-    state.last_update_time = rec.timestamp
     prune_fifo(state, rec.timestamp, cfg)
 
 
@@ -548,12 +540,12 @@ def access_control(
 
 
 def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) -> None:
-    """Replay a grant's records onto a returning replica and bring it on-line."""
+    """Replay a grant's records onto a returning replica, which then lists
+    itself on-line in its own view."""
     for rec in grant.records:
         if isinstance(rec, PolRecord):
             state.fifo.append(rec)
             state.online_view |= rec.alive
-            state.last_update_time = rec.timestamp
             if rec.stage == state.stage and state.stage in state.stage_history:
                 stage_digest, _ = state.stage_history[state.stage]
                 state.stage_history[state.stage] = (stage_digest, rec.timestamp)
@@ -563,9 +555,7 @@ def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) ->
         raise ProtocolError(
             f"catch-up incomplete: reached stage {state.stage}, expected {grant.current_stage}"
         )
-    state.status = NodeStatus.ONLINE
     state.online_view.add(state.id)
-    state.pol_clock = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +581,7 @@ def proof_of_life_cycle(
 ) -> Union[PolCompleted, PolAbortedOutcome]:
     """Close one proof-of-life window from the initiator's point of view.
 
-    Short of quorum the initiator stops and puts its clock back.  Otherwise
+    Short of quorum the initiator stops without a summary.  Otherwise
     it emits the second-step broadcast carrying every collected proof plus
     the ids it found silent across the whole window (the deletion list that
     every replica will apply).  ``window`` labels the summary; it defaults to
@@ -599,7 +589,6 @@ def proof_of_life_cycle(
     drivers pass the window they actually collected.
     """
     collected = list(answers)
-    initiator.pol_clock = 0.0
     if not cfg.quorum_met(len(collected), initiator.graph.order):
         return PolAbortedOutcome(len(collected))
     alive = frozenset(a.claimed_id for a in collected) | {initiator.id}
@@ -657,7 +646,6 @@ def apply_deletion_update(
     state.fifo.append(
         PolRecord(state.stage, summary.alive, summary.sender, now)
     )
-    state.last_update_time = now
     # Each witnessed summary confirms the current stage is still live, so a
     # member leaving now is measured stale from this confirmation, not from
     # however long ago the stage was first reached.
@@ -666,8 +654,6 @@ def apply_deletion_update(
     state.online_view = set(summary.alive) | {summary.sender}
     removed: list[NodeId] = []
     for victim in sorted(summary.deletions):
-        if victim == state.id:
-            state.status = NodeStatus.DELETED
         if victim not in state.graph.vertices:
             continue
         record = DeletionRecord(state.stage + 1, victim, summary.sender, now)

@@ -16,7 +16,8 @@ broadcast at most once and every copy a receiver hears is counted at the
 message's encoded size plus a fixed header.  A broadcast then reaches its
 recipients as one delivery event, handled in recipient id order.  A
 membership step due while a membership update is still on the air waits
-until that update has landed.
+until that update has landed.  Whether a member is on-line, off-line or
+deleted is the engine's alone to track; replicas never hold it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .protocol import (
     Message,
     NeighborSetBroadcast,
     NodeState,
-    NodeStatus,
     PolAnswer,
     PolCompleted,
     PolInitiate,
@@ -572,12 +572,15 @@ class _Engine:
         self.metrics = TrafficMetrics()
         self.message_log: list[Message] = []
         self.terminated_at: Optional[float] = None
-        self.secure_blocked: list[tuple[NodeId, NodeId]] = []
 
         graph, cycle = self._dealer_setup()
         self.nodes: dict[NodeId, NodeState] = {
             v: NodeState.initial(v, graph, cycle) for v in sorted(graph.vertices)
         }
+        # The engine alone knows where each member is in its life cycle: a
+        # node in neither set is deleted.  Replicas never see these sets.
+        self.online: set[NodeId] = set(self.nodes)
+        self.offline: set[NodeId] = set()
         self.last_proof_us: dict[NodeId, int] = {v: 0 for v in self.nodes}
         self.handled_window: dict[NodeId, int] = {}
         self.answered_window: dict[NodeId, int] = {}
@@ -662,15 +665,10 @@ class _Engine:
             self._links_of = self.positions
         return self._links
 
-    def _online_ids(self) -> list[NodeId]:
-        return sorted(
-            v for v, s in self.nodes.items() if s.status is NodeStatus.ONLINE
-        )
-
     def _check_termination(self) -> None:
         if self.terminated_at is not None:
             return
-        online = len(self._online_ids())
+        online = len(self.online)
         if check_termination(online, self.pcfg):
             self.terminated_at = self.now_s
             self._trace(f"Network terminated: {online} nodes on-line")
@@ -679,11 +677,7 @@ class _Engine:
 
     def _meter_unicast(self, msg: Message, src: NodeId, dst: NodeId) -> bool:
         reach = reachable(src, dst, self.positions, self.cfg)
-        if msg.secure_channel and reach is not Reach.DATA_AND_SECURE:
-            if reach is not Reach.NONE:
-                self.secure_blocked.append((src, dst))  # blocked, never delivered
-            return False
-        if reach is Reach.NONE:
+        if reach is Reach.NONE or (msg.secure_channel and reach is not Reach.DATA_AND_SECURE):
             return False
         self.metrics.record(msg.traffic_class, msg.size())
         self.message_log.append(msg)
@@ -691,7 +685,7 @@ class _Engine:
 
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
         """Flood a broadcast, meter every delivered copy, schedule its delivery."""
-        flood = broadcast_deliver(sender, set(self._online_ids()), self._link_table())
+        flood = broadcast_deliver(sender, self.online, self._link_table())
         if flood.deliveries:
             if isinstance(msg, PolSummary) and msg.deletions:
                 deletion_part = len(msg.deletion_payload_bytes())
@@ -790,16 +784,15 @@ class _Engine:
         for recipient in recipients:
             if self.terminated_at is not None:
                 return
-            state = self.nodes.get(recipient)
-            if state is not None and state.status is NodeStatus.ONLINE:
-                handle(state, msg)
+            if recipient in self.online:
+                handle(self.nodes[recipient], msg)
 
     # -- proofs of life ----------------------------------------------------
 
     def _on_pol_check(self, node: NodeId) -> None:
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.ONLINE:
+        if node not in self.online:
             return
+        state = self.nodes[node]
         T_us = _us(self.cfg.T)
         if self.now_us - self.last_proof_us[node] <= T_us:
             self._schedule_pol_check(node)
@@ -837,9 +830,9 @@ class _Engine:
         self._push(self.now_us + latency, "pol_answer_send", (state.id, msg.window))
 
     def _on_pol_answer_send(self, node: NodeId, window: int) -> None:
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.ONLINE:
+        if node not in self.online:
             return
+        state = self.nodes[node]
         self.last_proof_us[node] = self.now_us
         answer = PolAnswer(
             sender=node, stage=state.stage, sent_at=self.now_s,
@@ -861,10 +854,10 @@ class _Engine:
     def _on_pol_close(self, node: NodeId, window: int) -> None:
         if self._defer("pol_close", (node, window)):
             return
-        state = self.nodes.get(node)
         pending = self.pending_pol.pop(node, None)
-        if state is None or pending is None or state.status is not NodeStatus.ONLINE:
+        if pending is None or node not in self.online:
             return
+        state = self.nodes[node]
         self.last_proof_us[node] = self.now_us
         outcome = proof_of_life_cycle(
             state, pending.answers.values(), self.pcfg, self.now_s, window=window
@@ -895,6 +888,8 @@ class _Engine:
 
     def _apply_summary(self, state: NodeState, summary: PolSummary, traced: bool) -> None:
         before = state.cycle
+        if state.id in summary.deletions:  # a replica told it is silent is gone
+            self.online.discard(state.id)
         try:
             removed = apply_deletion_update(state, summary, self.pcfg, self.now_s)
         except BelowMinimumOrder:
@@ -904,10 +899,9 @@ class _Engine:
         self.summary_seen.setdefault(state.id, set()).add(summary.window)
         snapshot = before
         for victim in removed:
-            victim_state = self.nodes.get(victim)
-            if victim_state is not None:
-                victim_state.status = NodeStatus.DELETED
-                self.awaiting_reentry.discard(victim)
+            self.online.discard(victim)
+            self.offline.discard(victim)
+            self.awaiting_reentry.discard(victim)
             if traced:
                 snapshot = HamiltonianCycle(
                     tuple(v for v in snapshot.order if v != victim)
@@ -924,10 +918,10 @@ class _Engine:
         forced_neighbors: Optional[frozenset[NodeId]] = None,
         author: Optional[NodeId] = None,
     ) -> None:
-        online = self._online_ids()
+        online = sorted(self.online)
         if not online or self.pending_insert is not None:
             return  # first announce wins; overlapping requests abort
-        if author is not None and author in online:
+        if author is not None and author in self.online:
             auth_id = author
         else:
             auth_id = online[self.rng.randrange(len(online))]
@@ -950,9 +944,9 @@ class _Engine:
         self._push(self.now_us + latency, "insertion_ack_send", (state.id, msg.sender, msg.proposed_id))
 
     def _on_insertion_ack_send(self, node: NodeId, author: NodeId, proposed: NodeId) -> None:
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.ONLINE:
+        if node not in self.online:
             return
+        state = self.nodes[node]
         ack = InsertionAck(
             sender=node, stage=state.stage, sent_at=self.now_s, proposed_id=proposed
         )
@@ -970,9 +964,9 @@ class _Engine:
         pending, self.pending_insert = self.pending_insert, None
         if pending is None or pending.author != author_id:
             return
-        auth = self.nodes.get(author_id)
-        if auth is None or auth.status is not NodeStatus.ONLINE:
+        if author_id not in self.online:
             return
+        auth = self.nodes[author_id]
         outcome = authenticator_insert(
             auth,
             len(pending.acks),
@@ -1016,39 +1010,38 @@ class _Engine:
         member.stage = auth.stage
         member.stage_history = {auth.stage: auth.stage_history[auth.stage]}
         member.online_view = set(auth.online_view)
+        # A reused id replaces whatever node held it.
         self.nodes[new_id] = member
+        self.online.add(new_id)
+        self.offline.discard(new_id)
         self.last_proof_us[new_id] = self.now_us
         self._schedule_pol_check(new_id)
 
     # -- churn -------------------------------------------------------------
 
     def _turn_off_random(self) -> None:
-        candidates = self._online_ids()
+        candidates = sorted(self.online)
         if not candidates:
             return
         self._turn_off(candidates[self.rng.randrange(len(candidates))])
 
     def _turn_off(self, node: Optional[NodeId]) -> None:
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.ONLINE:
+        if node not in self.online:
             return
-        state.status = NodeStatus.OFFLINE
+        self.online.remove(node)
+        self.offline.add(node)
         self.turn_off_us[node] = self.now_us
         self._trace(f"Node {node} turns off")
         self._check_termination()
 
     def _turn_on_random(self) -> None:
-        candidates = sorted(
-            v for v, s in self.nodes.items()
-            if s.status is NodeStatus.OFFLINE and v not in self.awaiting_reentry
-        )
+        candidates = sorted(self.offline - self.awaiting_reentry)
         if not candidates:
             return
         self._turn_on(candidates[self.rng.randrange(len(candidates))])
 
     def _turn_on(self, node: Optional[NodeId]) -> None:
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.OFFLINE:
+        if node not in self.offline:
             return
         self._trace(f"Node {node} turns on")
         if self._absence_witnessed(node):
@@ -1074,10 +1067,10 @@ class _Engine:
     def _on_reentry(self, node: NodeId) -> None:
         if self._defer("reentry", (node,)):
             return
-        state = self.nodes.get(node)
-        if state is None or state.status is not NodeStatus.OFFLINE:
+        if node not in self.offline:
             return
-        online = [v for v in self._online_ids() if v != node]
+        state = self.nodes[node]
+        online = sorted(self.online)
         if not online:
             self.awaiting_reentry.add(node)
             return
@@ -1097,6 +1090,8 @@ class _Engine:
         if isinstance(decision, Granted):
             self._meter_unicast(decision.grant, verifier_id, node)
             apply_catch_up(state, decision.grant, self.pcfg)
+            self.offline.remove(node)
+            self.online.add(node)
             self.last_proof_us[node] = self.now_us
             self._schedule_pol_check(node)
             self._trace(f"Node {node} re-enters the network")
@@ -1107,7 +1102,7 @@ class _Engine:
         else:
             self._trace(f"Node {node} is denied access ({decision.reason})")
             if decision.reason == "expired membership":
-                state.status = NodeStatus.DELETED
+                self.offline.remove(node)
                 # The returning user must be re-inserted as a new member.
                 self._push(self.now_us + HOP_US, "expired_rejoin", ())
 
@@ -1117,7 +1112,7 @@ class _Engine:
     # -- scripted deletion ---------------------------------------------------
 
     def _scripted_delete(self, victim: Optional[NodeId]) -> None:
-        online = self._online_ids()
+        online = sorted(self.online)
         if victim is None or not online:
             return
         author = next((v for v in online if v != victim), None)

@@ -17,7 +17,6 @@ from gasman.protocol import (
     MESSAGE_TYPES,
     NeighborSetBroadcast,
     NodeState,
-    NodeStatus,
     PolAnswer,
     PolAbortedOutcome,
     PolCompleted,
@@ -120,9 +119,7 @@ def test_random_conforming_broadcasts_keep_invariants(seed):
 
 def offline_copy(nodes, node_id, when):
     """Detach one replica as an off-line supplicant snapshot."""
-    state = nodes[node_id]
-    state.status = NodeStatus.OFFLINE
-    return state
+    return nodes[node_id]
 
 
 def drive_updates(nodes, skip, count, start_time, rng):
@@ -204,7 +201,7 @@ def test_catch_up_reconverges_after_three_inserts_and_one_delete():
     decision = access_control(verifier, req, prover, CFG, Random(6), now=21.0)
     assert isinstance(decision, Granted)
     apply_catch_up(supplicant, decision.grant, CFG)
-    assert supplicant.status is NodeStatus.ONLINE
+    assert supplicant.id in supplicant.online_view
     assert supplicant.fingerprint() == verifier.fingerprint()
 
 
@@ -292,17 +289,13 @@ def test_transport_failure_aborts_the_protocol():
 def test_pol_quorum_boundaries_for_eleven_nodes():
     nodes = make_network()
     initiator = nodes[0]
-    initiator.pol_clock = CFG.T + 1
 
     aborted = proof_of_life_cycle(initiator, answers_from(range(1, 6)), CFG, 200.0)
     assert isinstance(aborted, PolAbortedOutcome)
-    assert initiator.pol_clock == 0.0
 
-    initiator.pol_clock = CFG.T + 1
     done = proof_of_life_cycle(initiator, answers_from(range(1, 7)), CFG, 200.0)
     assert isinstance(done, PolCompleted)
     assert len(done.summary.alive) == 7
-    assert initiator.pol_clock == 0.0
 
 
 def test_summary_with_everyone_alive_changes_nothing_but_the_fifo():
