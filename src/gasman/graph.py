@@ -8,12 +8,13 @@ callers stay reproducible.
 
 Instance values are built once and shared.  Only the public ``Graph(...)``
 constructor validates; the splices and ``permute_graph`` build through the
-trusted ``Graph._trusted``.  A graph keeps its encoding once computed, and the
+trusted ``Graph._trusted``.  A graph keeps its encoding and digest, and the
 splices are memoized by value, so all replicas share one graph and cycle.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -86,6 +87,7 @@ class Graph:
     vertices: frozenset[NodeId]
     edges: frozenset[tuple[NodeId, NodeId]]
     _encoding: bytes = field(init=False, repr=False, compare=False, default=None)
+    _digest: bytes = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
@@ -242,6 +244,13 @@ def encode_graph(g: Graph) -> bytes:
             raise GraphError(f"node id out of encodable range: {exc}") from exc
         object.__setattr__(g, "_encoding", head + body)
     return g._encoding
+
+
+def graph_digest(g: Graph) -> bytes:
+    """SHA-256 of ``encode_graph(g)``; kept on ``g``."""
+    if g._digest is None:
+        object.__setattr__(g, "_digest", hashlib.sha256(encode_graph(g)).digest())
+    return g._digest
 
 
 def encode_cycle(hc: HamiltonianCycle) -> bytes:
@@ -404,14 +413,17 @@ def neighbor_set_for_insert(
         k = rng.randrange(n)
         v_j, v_k = order[k], order[(k + 1) % n]
         chosen = [v_j, v_k]
+        # The cycle neighbors of every chosen vertex: a filler must avoid them.
+        blocked = {*hc.neighbors_of(v_j), *hc.neighbors_of(v_k)}
         pool = [v for v in order if v != v_j and v != v_k]
         _shuffle(pool, rng)
         for w in pool:
             if len(chosen) == degree:
                 break
-            if any(hc.adjacent(w, x) for x in chosen):
+            if w in blocked:
                 continue
             chosen.append(w)
+            blocked.update(hc.neighbors_of(w))
         if len(chosen) == degree:
             return frozenset(chosen)
     raise UnsatisfiableNeighborSet("cannot construct unambiguous neighbor set")

@@ -24,11 +24,12 @@ from .graph import (
     assign_new_id,
     encode_cycle,
     encode_graph,
+    graph_digest,
     neighbor_set_for_insert,
     splice_delete,
     splice_insert,
 )
-from .zkp import Commitment, Prover, Response, digest, run_proof
+from .zkp import Commitment, Prover, Response, run_proof
 
 
 class ProtocolError(ValueError):
@@ -343,7 +344,7 @@ class NodeState:
     ) -> "NodeState":
         state = cls(id=node_id, graph=graph, cycle=cycle, stage=stage)
         state.online_view = set(graph.vertices)
-        state.stage_history[stage] = (digest(encode_graph(graph)), now)
+        state.stage_history[stage] = (graph_digest(graph), now)
         # Setup itself is everyone's first sign of life; without this record a
         # member could be judged silent before the first window even closes.
         state.fifo.append(
@@ -375,14 +376,14 @@ def apply_update_record(state: NodeState, rec: UpdateRecord, cfg: ProtocolConfig
         state.stage = rec.stage
         state.online_view.add(rec.node)
         state.online_view.add(rec.author)
-        state.stage_history[rec.stage] = (digest(encode_graph(state.graph)), rec.timestamp)
+        state.stage_history[rec.stage] = (graph_digest(state.graph), rec.timestamp)
     elif isinstance(rec, DeletionRecord):
         if rec.stage != state.stage + 1:
             raise ProtocolError(f"update out of order: have stage {state.stage}, got {rec.stage}")
         state.graph, state.cycle = splice_delete(state.graph, state.cycle, rec.node)
         state.stage = rec.stage
         state.online_view.discard(rec.node)
-        state.stage_history[rec.stage] = (digest(encode_graph(state.graph)), rec.timestamp)
+        state.stage_history[rec.stage] = (graph_digest(state.graph), rec.timestamp)
     state.fifo.append(rec)
     prune_fifo(state, rec.timestamp, cfg)
 
@@ -508,7 +509,7 @@ def access_control(
     if now - stage_time > cfg.T:
         return Denied("expired membership")
     try:
-        claimed_digest = digest(encode_graph(req.claimed_graph))
+        claimed_digest = graph_digest(req.claimed_graph)
     except GraphError:  # an id no encoding can carry matches no recorded graph
         claimed_digest = None
     if claimed_digest != recorded_digest:

@@ -10,14 +10,15 @@ Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
 waypoint walk, and floods broadcasts over the resulting disk graph.  That
 graph (``disk_links``) is computed once per mobility tick, or per membership
-change that places a node, and shared by every broadcast until positions
-change again.  Traffic is accounted per delivery: each node forwards a
-broadcast at most once and every copy a receiver hears is counted at the
-message's encoded size plus a fixed header.  A broadcast then reaches its
-recipients as one delivery event, handled in recipient id order.  A
-membership step due while a membership update is still on the air waits
-until that update has landed.  Whether a member is on-line, off-line or
-deleted is the engine's alone to track; replicas never hold it.
+change that places a node, and its components (``flood_components``) once
+per on-line set, so until either changes a broadcast is a lookup.  Traffic
+is accounted per delivery: each node forwards a broadcast at most once and
+every copy a receiver hears is counted at the message's encoded size plus a
+fixed header.  A broadcast then reaches its recipients as one delivery event,
+handled in recipient id order.  A membership step due while a membership
+update is still on the air waits until that update has landed.  Whether a
+member is on-line, off-line or deleted is the engine's alone to track;
+replicas never hold it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import Optional, Union
@@ -413,10 +414,7 @@ def step_mobility(
     now: float,
 ) -> dict[NodeId, WaypointState]:
     """Advance every node one random-waypoint step of ``dt`` seconds."""
-    out: dict[NodeId, WaypointState] = {}
-    for node in sorted(positions):
-        out[node] = _step_one(positions[node], geo, rng, dt, now)
-    return out
+    return {node: _step_one(positions[node], geo, rng, dt, now) for node in sorted(positions)}
 
 
 def _step_one(
@@ -424,22 +422,20 @@ def _step_one(
 ) -> WaypointState:
     if now < st.pause_until:
         return st
-    if st.dest_x is None or st.dest_y is None:
+    dest_x, dest_y, speed = st.dest_x, st.dest_y, st.speed
+    if dest_x is None or dest_y is None:
         # Pause over: pick the next waypoint and a fresh speed in (0, max].
         dest_x = rng.uniform(0.0, geo.area_side)
         dest_y = rng.uniform(0.0, geo.area_side)
         speed = geo.speed_max * (1.0 - rng.random())
-        st = replace(st, dest_x=dest_x, dest_y=dest_y, speed=speed)
-    dx = st.dest_x - st.x
-    dy = st.dest_y - st.y
+    dx = dest_x - st.x
+    dy = dest_y - st.y
     dist = math.hypot(dx, dy)
-    step = st.speed * dt
+    step = speed * dt
     if dist <= step:
-        return replace(
-            st, x=st.dest_x, y=st.dest_y, dest_x=None, dest_y=None,
-            speed=0.0, pause_until=now + geo.pause,
-        )
-    return replace(st, x=st.x + step * dx / dist, y=st.y + step * dy / dist)
+        return WaypointState(dest_x, dest_y, None, None, 0.0, now + geo.pause)
+    x, y = st.x + step * dx / dist, st.y + step * dy / dist
+    return WaypointState(x, y, dest_x, dest_y, speed, st.pause_until)
 
 
 def reachable(
@@ -491,6 +487,34 @@ class FloodResult:
     deliveries: int
 
 
+def flood_components(
+    members: frozenset[NodeId], links: Links
+) -> dict[NodeId, tuple[tuple[NodeId, ...], int]]:
+    """Map each member to its component's sorted members and delivery count.
+
+    A broadcast from any member of a component reaches exactly that component
+    and, since each reached node forwards once to its linked members, puts the
+    same number of copies on the air whichever member sent it.
+    """
+    out: dict[NodeId, tuple[tuple[NodeId, ...], int]] = {}
+    for start in members:
+        if start in out:
+            continue
+        seen = {start}
+        frontier = {start}
+        deliveries = 0
+        while frontier:
+            heard: set[NodeId] = set()
+            for u in frontier:
+                near = links[u] & members
+                deliveries += len(near)
+                heard |= near
+            frontier = heard - seen
+            seen |= frontier
+        out.update(dict.fromkeys(seen, (tuple(sorted(seen)), deliveries)))
+    return out
+
+
 def broadcast_deliver(
     sender: NodeId,
     online: set[NodeId],
@@ -503,25 +527,15 @@ def broadcast_deliver(
     sender included) forwards the broadcast exactly once; each transmission
     is heard by all of the transmitter's linked on-line neighbors, and every
     such copy counts as a delivery.  The recipient set is the sender's
-    connected component, minus itself.
+    connected component (``flood_components``), minus itself.
     """
-    members = online | {sender}
+    members = frozenset(online | {sender})
     if links is None:
         n = len(members)
-        reached = frozenset(members)
-        return FloodResult(reached - {sender}, reached, n * (n - 1))
-    seen = {sender}
-    frontier = {sender}
-    deliveries = 0
-    while frontier:
-        heard: set[NodeId] = set()
-        for u in frontier:
-            near = links[u] & members
-            deliveries += len(near)
-            heard |= near
-        frontier = heard - seen
-        seen |= frontier
-    return FloodResult(frozenset(seen - {sender}), frozenset(seen), deliveries)
+        return FloodResult(members - {sender}, members, n * (n - 1))
+    component, deliveries = flood_components(members, links)[sender]
+    reached = frozenset(component)
+    return FloodResult(reached - {sender}, reached, deliveries)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +612,8 @@ class _Engine:
         self.positions: dict[NodeId, WaypointState] = {}
         self._links: Optional[Links] = None
         self._links_of: Optional[dict[NodeId, WaypointState]] = None
+        # The last flood table: (neighbor table, flooding members, components).
+        self._floods: tuple = (None, frozenset(), {})
         if isinstance(cfg.connectivity, GeometricConfig):
             side = cfg.connectivity.area_side
             for v in sorted(self.nodes):
@@ -685,17 +701,28 @@ class _Engine:
 
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
         """Flood a broadcast, meter every delivered copy, schedule its delivery."""
-        flood = broadcast_deliver(sender, self.online, self._link_table())
-        if flood.deliveries:
+        links = self._link_table()
+        if links is None:
+            flood = broadcast_deliver(sender, self.online, None)
+            recipients, deliveries = tuple(sorted(flood.recipients)), flood.deliveries
+        else:
+            # Components change only with the positions or the on-line set.
+            members = frozenset(self.online | {sender})
+            if links is not self._floods[0] or members != self._floods[1]:
+                self._floods = (links, members, flood_components(members, links))
+            component, deliveries = self._floods[2][sender]
+            i = component.index(sender)
+            recipients = component[:i] + component[i + 1:]
+        if deliveries:
             if isinstance(msg, PolSummary) and msg.deletions:
                 deletion_part = len(msg.deletion_payload_bytes())
-                self.metrics.record("deletion", deletion_part, flood.deliveries)
-                self.metrics.record(msg.traffic_class, msg.size() - deletion_part, flood.deliveries)
+                self.metrics.record("deletion", deletion_part, deliveries)
+                self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
             else:
-                self.metrics.record(msg.traffic_class, msg.size(), flood.deliveries)
+                self.metrics.record(msg.traffic_class, msg.size(), deliveries)
         self.message_log.append(msg)
-        if flood.recipients:
-            self._push(self.now_us + HOP_US, "deliver", (msg, tuple(sorted(flood.recipients))))
+        if recipients:
+            self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
             if isinstance(msg, NeighborSetBroadcast) or (isinstance(msg, PolSummary) and msg.deletions):
                 self._update_lands_us = self.now_us + HOP_US
 
@@ -997,7 +1024,7 @@ class _Engine:
         if isinstance(self.cfg.connectivity, GeometricConfig):
             # Insertion requires physical contact: the newcomer stands next
             # to its authenticator, inside secure-channel range.
-            self.positions = {**self.positions, new_id: replace(self.positions[auth.id])}
+            self.positions = {**self.positions, new_id: self.positions[auth.id]}
         if not self._meter_unicast(outcome.graph_transfer, auth.id, new_id):
             self._trace(f"Node {new_id} unreachable; graph transfer dropped")
             return

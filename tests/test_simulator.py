@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from gasman.simulator import (
     WaypointState,
     broadcast_deliver,
     disk_links,
+    flood_components,
     reachable,
     run_scenario,
     step_mobility,
@@ -507,6 +509,55 @@ def test_long_waypoint_walk_concentrates_toward_the_center():
     assert total_dist / steps < 0.36 * 500.0
 
 
+def replace_step(st, geo, rng, dt, now):
+    """Reference waypoint step, written with ``dataclasses.replace``."""
+    if now < st.pause_until:
+        return st
+    if st.dest_x is None or st.dest_y is None:
+        dest_x = rng.uniform(0.0, geo.area_side)
+        dest_y = rng.uniform(0.0, geo.area_side)
+        speed = geo.speed_max * (1.0 - rng.random())
+        st = replace(st, dest_x=dest_x, dest_y=dest_y, speed=speed)
+    dx = st.dest_x - st.x
+    dy = st.dest_y - st.y
+    dist = math.hypot(dx, dy)
+    step = st.speed * dt
+    if dist <= step:
+        return replace(
+            st, x=st.dest_x, y=st.dest_y, dest_x=None, dest_y=None,
+            speed=0.0, pause_until=now + geo.pause,
+        )
+    return replace(st, x=st.x + step * dx / dist, y=st.y + step * dy / dist)
+
+
+COORD_500 = st.floats(0, 500)
+WAYPOINT = st.one_of(
+    # Paused, or with its pause over and no waypoint yet.
+    st.builds(WaypointState, x=COORD_500, y=COORD_500, pause_until=st.floats(0, 20)),
+    # On a leg: far from the waypoint (mid-leg) or within one step (arriving).
+    st.builds(
+        WaypointState, x=COORD_500, y=COORD_500, dest_x=COORD_500, dest_y=COORD_500,
+        speed=st.floats(0.001, 20), pause_until=st.floats(0, 20),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=st.lists(WAYPOINT, min_size=1, max_size=12),
+    seed=st.integers(0, 2**32),
+    now=st.floats(0, 20),
+    dt=st.sampled_from([0.5, 1.0, 30.0]),
+)
+def test_waypoint_step_matches_a_replace_based_reference(states, seed, now, dt):
+    positions = dict(enumerate(states))
+    rng, ref_rng = Random(seed), Random(seed)
+    out = step_mobility(positions, GEO, rng, dt, now)
+    expected = {v: replace_step(positions[v], GEO, ref_rng, dt, now) for v in sorted(positions)}
+    assert out == expected
+    assert rng.getstate() == ref_rng.getstate()
+
+
 # ---------------------------------------------------------------------------
 # Reachability and flooding
 # ---------------------------------------------------------------------------
@@ -591,10 +642,53 @@ def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
     # Positioned nodes left out of ``online`` are the off-line ones.
     online = data.draw(st.sets(st.sampled_from(sorted(positions))))
     sender = data.draw(st.sampled_from(sorted(positions)))
-    flood = broadcast_deliver(sender, online, disk_links(positions, geo))
+    links = disk_links(positions, geo)
+    flood = broadcast_deliver(sender, online, links)
     assert (flood.recipients, flood.forwarders, flood.deliveries) == pairwise_flood(
         sender, online, positions, cfg
     )
+    # The engine floods every component at once and looks each broadcast up.
+    members = frozenset(online | {sender})
+    components = flood_components(members, links)
+    assert set(components) == members
+    for v in sorted(members):
+        _, forwarders, deliveries = pairwise_flood(v, set(members), positions, cfg)
+        assert components[v] == (tuple(sorted(forwarders)), deliveries)
+
+
+def sent_to(engine):
+    """The recipients of the engine's most recently queued delivery."""
+    return max(e for e in engine._heap if e[2] == "deliver")[3][1]
+
+
+def test_engine_floods_again_when_the_online_set_or_the_positions_change():
+    from gasman.protocol import PolInitiate
+
+    engine = _Engine(no_churn_cfg(connectivity=GEO))
+    paused = 1e9  # nobody moves unless given a waypoint
+    engine.positions = {
+        v: WaypointState(x=200.0 * v, y=0.0, pause_until=paused) for v in range(8)
+    }
+    msg = PolInitiate(sender=0, stage=0, sent_at=0.0, window=1)
+    engine._broadcast(msg, 0)
+    assert sent_to(engine) == (1, 2, 3, 4, 5, 6, 7)
+    # Same positions, so the same table; node 3 off-line cuts the chain.
+    table = engine._links
+    engine._turn_off(3)
+    engine._broadcast(msg, 0)
+    assert engine._links is table
+    assert sent_to(engine) == (1, 2)
+    # A move tick takes node 2 out of range of node 1: a new table, a new flood.
+    # Its waypoint is set in place, so that only the tick replaces the positions.
+    engine.positions[2] = WaypointState(
+        x=400.0, y=0.0, dest_x=400.0, dest_y=5000.0, speed=2000.0
+    )
+    engine._on_move(1)
+    engine._broadcast(msg, 0)
+    assert engine._links is not table
+    assert sent_to(engine) == (1,)
+    # Deliveries are metered from the cached flood: 7 * 2 + 2 * 2 + 1 * 2 copies.
+    assert engine.metrics.counts["proof_of_life"] == 14 + 4 + 2
 
 
 def test_neighbor_table_links_within_either_range():
