@@ -7,9 +7,16 @@ values.  All randomness enters through an explicit ``random.Random`` so that
 callers stay reproducible.
 
 Instance values are built once and shared.  Only the public ``Graph(...)``
-constructor validates; the splices and ``permute_graph`` build through the
-trusted ``Graph._trusted``.  A graph keeps its encoding and digest, and the
+and ``Permutation(...)`` constructors validate; the splices and
+``permute_graph`` build through the trusted ``Graph._trusted``, and
+``Permutation.random`` and ``Permutation.identity`` through
+``Permutation._trusted``.  A graph keeps its encoding and digest, and the
 splices are memoized by value, so all replicas share one graph and cycle.
+
+A graph encodes its edges as 64-bit keys ``u << 32 | v``: once the vertex
+list has packed as 32-bit ids, every key packs to the same bytes and sorts in
+the same order as the endpoint pair would.  ``permute_graph`` builds the keys
+while it relabels and stores the encoding on the graph it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 NodeId = int
 
@@ -203,16 +210,25 @@ class Permutation:
         object.__setattr__(self, "image", image)
 
     @classmethod
-    def identity(cls, vertices: Iterable[NodeId]) -> "Permutation":
-        domain = tuple(sorted(vertices))
-        return cls(domain, domain)
+    def _trusted(cls, domain: tuple, image: tuple) -> "Permutation":
+        """Build, unchecked, from a sorted duplicate-free ``domain`` and a rearrangement of it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "domain", domain)
+        object.__setattr__(p, "image", image)
+        return p
 
     @classmethod
-    def random(cls, vertices: Iterable[NodeId], rng: Random) -> "Permutation":
+    def identity(cls, vertices: AbstractSet[NodeId]) -> "Permutation":
+        domain = tuple(sorted(vertices))
+        return cls._trusted(domain, domain)
+
+    @classmethod
+    def random(cls, vertices: AbstractSet[NodeId], rng: Random) -> "Permutation":
+        """A uniform relabeling of a vertex set, shuffled by :func:`_shuffle`."""
         domain = sorted(vertices)
         image = list(domain)
         _shuffle(image, rng)
-        return cls(tuple(domain), tuple(image))
+        return cls._trusted(tuple(domain), tuple(image))
 
     def as_dict(self) -> dict[NodeId, NodeId]:
         return dict(zip(self.domain, self.image))
@@ -233,16 +249,25 @@ def _pack_ids(ids: Iterable[NodeId]) -> bytes:
         raise GraphError(f"node id out of encodable range: {exc}") from exc
 
 
+def _graph_encoding(head: bytes, keys: list[int]) -> bytes:
+    """The vertex header, then the edge count and the sorted 64-bit edge keys."""
+    keys.sort()
+    return head + struct.pack(f">I{len(keys)}Q", len(keys), *keys)
+
+
 def encode_graph(g: Graph) -> bytes:
     """Sorted vertex list, then sorted edge list, smaller endpoint first; kept on ``g``."""
     if g._encoding is None:
-        edges = sorted(g.edges)
+        # Packing the vertices first rejects any id outside 0..2**32-1.  Every
+        # edge endpoint is a vertex, so each key ``u << 32 | v`` then packs as
+        # ``>Q`` to the bytes of ``>II`` over ``(u, v)`` and sorts as that
+        # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift.
         head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
         try:
-            body = struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e))
-        except struct.error as exc:
+            keys = [u << 32 | v for u, v in g.edges]
+        except TypeError as exc:
             raise GraphError(f"node id out of encodable range: {exc}") from exc
-        object.__setattr__(g, "_encoding", head + body)
+        object.__setattr__(g, "_encoding", _graph_encoding(head, keys))
     return g._encoding
 
 
@@ -279,18 +304,38 @@ def is_hamiltonian_cycle(g: Graph, hc: HamiltonianCycle) -> bool:
         return False
     if len(set(order)) != n or set(order) != g.vertices:
         return False
-    return all(g.has_edge(order[i], order[(i + 1) % n]) for i in range(n))
+    edges = g.edges
+    return all((u, v) in edges if u < v else (v, u) in edges
+               for u, v in zip(order, order[1:] + order[:1]))
 
 
 def permute_graph(g: Graph, p: Permutation) -> Graph:
-    """Relabel every vertex and edge endpoint of ``g`` through ``p``."""
+    """Relabel every vertex and edge endpoint of ``g`` through ``p``.
+
+    The result carries its encoding.  A bijection keeps the vertex set, so
+    the encoding starts with ``g``'s vertex header.  Raises ``GraphError``
+    when an id of ``g`` or ``p`` has no encoding.
+    """
     if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
     mapping = p.as_dict()
-    # A bijection of the vertex set keeps the set and cannot make a self-loop.
-    return Graph._trusted(
-        g.vertices, frozenset(_norm_edge(mapping[u], mapping[v]) for u, v in g.edges)
-    )
+    # Version byte, vertex count and vertex ids; the pack also bounds every id.
+    head = encode_graph(g)[: 5 + 4 * len(g.vertices)]
+    edges = []
+    keys = []
+    try:
+        for u, v in g.edges:
+            u, v = mapping[u], mapping[v]
+            if u > v:
+                u, v = v, u
+            edges.append((u, v))
+            keys.append(u << 32 | v)
+    except TypeError as exc:
+        raise GraphError(f"node id out of encodable range: {exc}") from exc
+    # A bijection of the vertex set cannot make a self-loop.
+    relabeled = Graph._trusted(g.vertices, frozenset(edges))
+    object.__setattr__(relabeled, "_encoding", _graph_encoding(head, keys))
+    return relabeled
 
 
 def apply_permutation(

@@ -164,7 +164,9 @@ class HonestProver:
         self._secret: Optional[RoundSecret] = None
 
     def next_commitment(self) -> Commitment:
-        self._secret, com = prover_commit(self._graph, self._cycle, self._rng)
+        # The witness was checked once, in ``__init__``; graph and cycle are immutable.
+        p = Permutation.random(self._graph.vertices, self._rng)
+        self._secret, com = commitment_for(self._graph, self._cycle, p)
         return com
 
     def answer(self, challenge: int) -> Response:

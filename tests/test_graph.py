@@ -1,12 +1,14 @@
 """Graph-core: cycle canonicalization, splice rules, generator invariants."""
 
 import itertools
+import struct
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasman.graph import (
+    ENCODING_VERSION,
     AmbiguousBroadcast,
     BelowMinimumOrder,
     Graph,
@@ -478,3 +480,80 @@ def test_encodings_distinguish_different_values():
     g2, hc2 = build_initial_graph(8, 12, Random(2))
     assert encode_graph(g1) != encode_graph(g2)
     assert encode_cycle(hc1) != encode_cycle(hc2)
+
+
+def reference_encode_graph(g):
+    """The tuple-sort encoding: sorted vertex list, then sorted edge pairs."""
+    vertices = sorted(g.vertices)
+    edges = sorted(g.edges)
+    return (bytes([ENCODING_VERSION])
+            + struct.pack(f">I{len(vertices)}I", len(vertices), *vertices)
+            + struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e)))
+
+
+@st.composite
+def graphs(draw):
+    """A valid graph over up to 12 ids anywhere in the encodable range."""
+    vertices = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=12, unique=True))
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return Graph(frozenset(vertices), frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_encoding_matches_the_tuple_sort_reference(g):
+    assert encode_graph(g) == reference_encode_graph(g)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32, 1.5])
+def test_an_unencodable_vertex_raises_graph_error(bad):
+    g = Graph(frozenset({0, 1, bad}), frozenset({(0, 1), (1, bad)}))
+    with pytest.raises(GraphError):
+        encode_graph(g)
+    with pytest.raises(GraphError):
+        permute_graph(g, Permutation.identity(g.vertices))
+
+
+def test_an_endpoint_only_equal_to_a_vertex_raises_graph_error():
+    g = Graph(frozenset({0, 1, 2}), frozenset({(0, 1.0), (1, 2)}))
+    with pytest.raises(GraphError):
+        encode_graph(g)
+    relabel = Permutation((0, 1, 2), (0, 2.0, 1))  # the constructor admits 2.0
+    with pytest.raises(GraphError):
+        permute_graph(triangle(), relabel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_relabeling_matches_a_validated_reference(g, rng):
+    p = Permutation.random(g.vertices, rng)
+    mapping = p.as_dict()
+    expected = Graph(frozenset(mapping[v] for v in g.vertices),
+                     frozenset((mapping[u], mapping[v]) for u, v in g.edges))
+    relabeled = permute_graph(g, p)
+    assert relabeled == expected
+    assert relabeled._encoding == encode_graph(expected) == reference_encode_graph(expected)
+
+
+def reference_is_hamiltonian_cycle(g, order):
+    n = len(order)
+    return (n >= 3 and len(set(order)) == n and set(order) == g.vertices
+            and all(g.has_edge(order[i], order[(i + 1) % n]) for i in range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cycle_check_agrees_with_a_has_edge_reference(data):
+    n = data.draw(st.integers(3, 9))
+    rng = data.draw(st.randoms(use_true_random=False))
+    g, hc = build_initial_graph(n + n % 2, 2 * (n + n % 2), rng)
+    # Hostile cycles: dropped, repeated or foreign vertices and arbitrary orders.
+    ids = st.integers(-2, n + 2)
+    order = data.draw(st.one_of(
+        st.permutations(sorted(g.vertices)),
+        st.lists(ids, max_size=n + 3),
+        st.just(list(hc.order)),
+    ))
+    cycle = HamiltonianCycle(tuple(order))
+    assert is_hamiltonian_cycle(g, cycle) == reference_is_hamiltonian_cycle(g, cycle.order)

@@ -97,6 +97,45 @@ def test_commit_requires_a_valid_witness():
         prover_commit(g, bogus, Random(0))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=40, unique=True), st.integers())
+def test_random_permutation_matches_the_validating_constructor(vertices, seed):
+    rng, replay = Random(seed), Random(seed)
+    p = Permutation.random(frozenset(vertices), rng)
+    domain = sorted(vertices)
+    image = list(domain)
+    for i in range(len(image) - 1, 0, -1):  # the same Fisher-Yates draws
+        j = replay.randrange(i + 1)
+        image[i], image[j] = image[j], image[i]
+    assert p == Permutation(tuple(domain), tuple(image))
+    assert (p.domain, p.image) == (tuple(domain), tuple(image))
+    assert rng.getstate() == replay.getstate()
+    assert Permutation.identity(frozenset(vertices)) == Permutation(tuple(domain), tuple(domain))
+
+
+def test_honest_prover_checks_its_witness_at_construction():
+    g, hc = small_instance()
+    bogus = HamiltonianCycle(tuple(sorted(g.vertices))[:-1])
+    with pytest.raises(ProofError):
+        HonestProver(g, bogus, Random(0))
+    detour = HamiltonianCycle(tuple(sorted(g.vertices)))  # visits all, off the edges
+    assert not is_hamiltonian_cycle(g, detour)
+    with pytest.raises(ProofError):
+        HonestProver(g, detour, Random(0))
+
+
+def test_honest_prover_commits_as_prover_commit_does():
+    g, hc = build_initial_graph(32, 64, Random(3))
+    prover = HonestProver(g, hc, Random(8))
+    reference = Random(8)
+    for _ in range(20):
+        com = prover.next_commitment()
+        secret, expected = prover_commit(g, hc, reference)
+        assert com == expected
+        assert prover.answer(1).permutation == secret.permutation
+    assert prover._rng.getstate() == reference.getstate()
+
+
 def test_respond_picks_the_matching_variant():
     g, hc = small_instance()
     secret, _ = prover_commit(g, hc, Random(4))
@@ -270,3 +309,38 @@ def test_golden_transcript_round_trip():
     for row in transcript:
         ok, _ = verifier_check(g, row.commitment, row.challenge, row.response)
         assert ok
+
+
+def _benchmark_instance():
+    return build_initial_graph(128, 256, Random("instance:1"))
+
+
+def test_golden_honest_transcript_on_the_benchmark_instance():
+    g, hc = _benchmark_instance()
+    rng = Random("transcript:1")
+    transcript = []
+    result = run_proof(g, HonestProver(g, hc, rng), 20, rng, transcript=transcript)
+    assert result.accepted and len(transcript) == 20
+    # Pins the permutation draws, the relabeling and the graph encoding at n = 128.
+    assert hashlib.sha256(encode_transcript(transcript)).hexdigest() == (
+        "a72187133a1628cecfb70c2c6031835741ce969b924f38aa0727bc340ff1c197"
+    )
+
+
+@pytest.mark.parametrize("seed, rounds, expected", [
+    # One round: a guessed 0 met by challenge 1, answered with the identity.
+    ("transcript:1", 1,
+     "f9f60d52e823cab3e61ce65f4fb8a970d6d97a0dc1221cd5fb45cf0b3f9de3c2"),
+    # A challenge-0 round and two challenge-1 rounds on a random relabeling
+    # pass, then the identity answer fails.
+    ("transcript:16", 4,
+     "330d21df10f64bbef49fd8f32a327d76aff9c4bbdc3d8c68e850c1a490282e5f"),
+])
+def test_golden_cheater_transcript_on_the_benchmark_instance(seed, rounds, expected):
+    g, _ = _benchmark_instance()
+    rng = Random(seed)
+    transcript = []
+    result = run_proof(g, OneBranchCheater(g, rng), 20, rng, transcript=transcript)
+    assert not result.accepted and result.rounds_completed == rounds
+    assert result.reason == "digest mismatch"
+    assert hashlib.sha256(encode_transcript(transcript)).hexdigest() == expected
