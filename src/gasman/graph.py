@@ -12,6 +12,8 @@ and ``Permutation(...)`` constructors validate; the splices and
 ``Permutation.random`` and ``Permutation.identity`` through
 ``Permutation._trusted``.  A graph keeps its encoding and digest, and the
 splices are memoized by value, so all replicas share one graph and cycle.
+A splice that misses the memo still returns the live graph and cycle equal
+to its result, if there are any.
 
 A graph encodes its edges as 64-bit keys ``u << 32 | v``: once the vertex
 list has packed as 32-bit ids, every key packs to the same bytes and sorts in
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
@@ -38,6 +41,12 @@ NEIGHBOR_SET_RETRY_BUDGET = 1000
 
 #: Splice results kept; replicas apply records in lockstep, so a few suffice.
 SPLICE_MEMO_SIZE = 4
+
+#: Every live splice result, by value; an entry goes when its value dies.  A
+#: summary deleting more nodes than the memo holds makes each replica splice
+#: afresh, and without these each would keep its own equal graph and cycle.
+_LIVE_GRAPHS: weakref.WeakValueDictionary[tuple, Graph] = weakref.WeakValueDictionary()
+_LIVE_CYCLES: weakref.WeakValueDictionary[tuple, HamiltonianCycle] = weakref.WeakValueDictionary()
 
 
 class GraphError(ValueError):
@@ -261,9 +270,10 @@ def encode_graph(g: Graph) -> bytes:
         # Packing the vertices first rejects any id outside 0..2**32-1.  Every
         # edge endpoint is a vertex, so each key ``u << 32 | v`` then packs as
         # ``>Q`` to the bytes of ``>II`` over ``(u, v)`` and sorts as that
-        # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift.
-        head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
+        # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift,
+        # and ids of mixed types cannot sort.
         try:
+            head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
             keys = [u << 32 | v for u, v in g.edges]
         except TypeError as exc:
             raise GraphError(f"node id out of encodable range: {exc}") from exc
@@ -525,11 +535,8 @@ def _splice_insert(
     i = hc.order.index(v_j)
     new_order = hc.order[: i + 1] + (new_id,) + hc.order[i + 1:]
     # The newcomer is not a vertex yet, so none of its edges is a loop.
-    new_graph = Graph._trusted(
-        g.vertices | {new_id},
-        g.edges | {_norm_edge(new_id, w) for w in neighbor_set},
-    )
-    return new_graph, HamiltonianCycle(new_order)
+    edges = g.edges | {_norm_edge(new_id, w) for w in neighbor_set}
+    return _live_result(g.vertices | {new_id}, edges, new_order)
 
 
 @lru_cache(maxsize=SPLICE_MEMO_SIZE)
@@ -552,6 +559,18 @@ def splice_delete(
         raise InvalidSplice("cycle does not match the graph")
     new_edges = {e for e in g.edges if victim not in e}
     new_edges.add(_norm_edge(v_j, v_k))
-    new_graph = Graph._trusted(g.vertices - {victim}, frozenset(new_edges))
     new_order = tuple(v for v in hc.order if v != victim)
-    return new_graph, HamiltonianCycle(new_order)
+    return _live_result(g.vertices - {victim}, frozenset(new_edges), new_order)
+
+
+def _live_result(
+    vertices: frozenset, edges: frozenset, order: tuple
+) -> tuple[Graph, HamiltonianCycle]:
+    """The live graph and cycle equal to a splice's result, else new ones."""
+    graph = _LIVE_GRAPHS.get((vertices, edges))
+    if graph is None:
+        graph = _LIVE_GRAPHS[vertices, edges] = Graph._trusted(vertices, edges)
+    cycle = _LIVE_CYCLES.get(order)
+    if cycle is None:
+        cycle = _LIVE_CYCLES[order] = HamiltonianCycle(order)
+    return graph, cycle

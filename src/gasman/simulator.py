@@ -584,7 +584,6 @@ class _Engine:
         self._heap: list[tuple[int, int, str, tuple]] = []
         self.trace: list[TraceEvent] = []
         self.metrics = TrafficMetrics()
-        self.message_log: list[Message] = []
         self.terminated_at: Optional[float] = None
 
         graph, cycle = self._dealer_setup()
@@ -696,7 +695,6 @@ class _Engine:
         if reach is Reach.NONE or (msg.secure_channel and reach is not Reach.DATA_AND_SECURE):
             return False
         self.metrics.record(msg.traffic_class, msg.size())
-        self.message_log.append(msg)
         return True
 
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
@@ -720,7 +718,6 @@ class _Engine:
                 self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
             else:
                 self.metrics.record(msg.traffic_class, msg.size(), deliveries)
-        self.message_log.append(msg)
         if recipients:
             self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
             if isinstance(msg, NeighborSetBroadcast) or (isinstance(msg, PolSummary) and msg.deletions):
@@ -796,8 +793,9 @@ class _Engine:
         elif isinstance(msg, PolAnswer):
             handle = self._handle_pol_answer
             # Only a node collecting answers can act on one, and answers do
-            # not open or close collections.
-            recipients = [r for r in recipients if r in self.pending_pol]
+            # not open or close collections.  Few windows are open at once, so
+            # scan those; recipients ascend, so the order is theirs.
+            recipients = [r for r in sorted(self.pending_pol) if r in recipients]
         elif isinstance(msg, PolSummary):
             handle = self._handle_pol_summary
         elif isinstance(msg, InsertionAnnounce):

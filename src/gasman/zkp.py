@@ -23,6 +23,7 @@ from typing import Optional, Protocol, Union
 
 from .graph import (
     Graph,
+    GraphError,
     HamiltonianCycle,
     Permutation,
     apply_permutation,
@@ -120,15 +121,22 @@ def verifier_check(
     Challenge 0 accepts iff both revealed objects hash to the commitment and
     the revealed cycle is a valid Hamiltonian cycle of the revealed graph.
     Challenge 1 accepts iff relabeling the public graph through the revealed
-    permutation reproduces the committed graph digest.
+    permutation reproduces the committed graph digest.  A response holding an
+    id with no encoding is rejected as unencodable.
     """
+    # The public constructors admit ids that cannot be packed, so encoding a
+    # response can fail: ``7.0`` equals the vertex ``7``, and ``Graph`` does
+    # not bound its ids.
     if challenge == 0:
         if not isinstance(response, RevealCycle):
             return False, "variant/challenge mismatch"
-        if digest(encode_graph(response.permuted_graph)) != com.graph_digest:
-            return False, "digest mismatch"
-        if digest(encode_cycle(response.permuted_cycle)) != com.cycle_digest:
-            return False, "digest mismatch"
+        try:
+            if digest(encode_graph(response.permuted_graph)) != com.graph_digest:
+                return False, "digest mismatch"
+            if digest(encode_cycle(response.permuted_cycle)) != com.cycle_digest:
+                return False, "digest mismatch"
+        except GraphError:
+            return False, "unencodable response"
         if not is_hamiltonian_cycle(response.permuted_graph, response.permuted_cycle):
             return False, "not a Hamiltonian cycle"
         return True, None
@@ -137,7 +145,10 @@ def verifier_check(
             return False, "variant/challenge mismatch"
         if frozenset(response.permutation.domain) != public_graph.vertices:
             return False, "permutation domain mismatch"
-        relabeled = permute_graph(public_graph, response.permutation)
+        try:
+            relabeled = permute_graph(public_graph, response.permutation)
+        except GraphError:
+            return False, "unencodable response"
         if digest(encode_graph(relabeled)) != com.graph_digest:
             return False, "digest mismatch"
         return True, None

@@ -9,6 +9,7 @@ import math
 import time
 from random import Random
 
+from conftest import record_air
 from gasman.graph import (
     Graph,
     HamiltonianCycle,
@@ -350,13 +351,14 @@ def test_criterion_9_sybil_detection_and_benign_baseline():
             churn=ChurnConfig(0.10, 0.10, 0.10),
         )
     )
+    air = record_air(engine)
     engine.run()
-    assert len(engine.message_log) >= 200, "need at least a 200-event scenario"
+    assert len(air) >= 200, "need at least a 200-event scenario"
     flags = set()
     for state in engine.nodes.values():
         flags |= state.sybil_flags
     assert flags == set(), flags
     observer = next(iter(engine.nodes.values()))
-    pol_answers = [m for m in engine.message_log if isinstance(m, PolAnswer)]
+    pol_answers = [m for m in air if isinstance(m, PolAnswer)]
     assert detect_sybil(observer, pol_answers) == set()
-    return f"3 attacks caught; {len(engine.message_log)} benign messages, zero flags"
+    return f"3 attacks caught; {len(air)} benign messages, zero flags"

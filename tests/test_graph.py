@@ -1,14 +1,18 @@
 """Graph-core: cycle canonicalization, splice rules, generator invariants."""
 
+import gc
 import itertools
 import struct
+import weakref
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasman import graph as graph_module
 from gasman.graph import (
     ENCODING_VERSION,
+    SPLICE_MEMO_SIZE,
     AmbiguousBroadcast,
     BelowMinimumOrder,
     Graph,
@@ -422,6 +426,32 @@ def test_memoized_splices_match_validated_construction(seed, inserts):
         g, hc = out
 
 
+def test_a_splice_that_misses_the_memo_returns_the_live_equal_result():
+    g, hc = build_initial_graph(12, 24, Random(5))
+    # Each replica deletes more nodes than the memo holds, one after another,
+    # so the second finds every entry of the first evicted.
+    victims = sorted(g.vertices)[: SPLICE_MEMO_SIZE + 2]
+    replicas = []
+    for _ in range(2):
+        state = (g, hc)
+        for victim in victims:
+            state = splice_delete(*state, victim)
+        replicas.append(state)
+    assert replicas[1][0] is replicas[0][0] and replicas[1][1] is replicas[0][1]
+    neighbors = neighbor_set_for_insert(g, hc, 3, Random(1))
+    inserted = splice_insert(g, hc, 99, neighbors)
+    graph_module._splice_insert.cache_clear()
+    again = splice_insert(g, hc, 99, neighbors)
+    assert again[0] is inserted[0] and again[1] is inserted[1]
+    # Only the holders keep a result alive, not the table that shares it.
+    results = [weakref.ref(x) for x in (*replicas[0], *inserted)]
+    del replicas, state, inserted, again
+    splice_delete.cache_clear()
+    graph_module._splice_insert.cache_clear()
+    gc.collect()
+    assert [r() for r in results] == [None] * 4
+
+
 def test_splice_insert_rejects_non_integer_ids_before_the_memo_sees_them():
     g = cycle_graph((0, 1, 2, 3))
     hc = HamiltonianCycle((0, 1, 2, 3))
@@ -513,6 +543,12 @@ def test_an_unencodable_vertex_raises_graph_error(bad):
         encode_graph(g)
     with pytest.raises(GraphError):
         permute_graph(g, Permutation.identity(g.vertices))
+
+
+def test_vertices_of_mixed_types_raise_graph_error():
+    g = Graph(frozenset({0, 1, "a"}), frozenset({(0, 1)}))
+    with pytest.raises(GraphError):
+        encode_graph(g)
 
 
 def test_an_endpoint_only_equal_to_a_vertex_raises_graph_error():

@@ -8,6 +8,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from conftest import record_air
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,11 +175,12 @@ def test_two_simultaneous_initiators_yield_one_summary():
     # either node can hear the other's first-step broadcast.
     eng._heap.clear()
     eng.now_us = 5_500_000
+    air = record_air(eng)
     eng._on_pol_check(3)
     eng._on_pol_check(5)
     assert len(eng.pending_pol) == 2
     eng.run()
-    raced = [m for m in eng.message_log if isinstance(m, PolSummary) and m.window == 1]
+    raced = [m for m in air if isinstance(m, PolSummary) and m.window == 1]
     assert len(raced) == 1
     assert raced[0].sender == 3  # same-time tie resolves to the lower id
 
@@ -266,6 +268,23 @@ def test_replicas_share_one_instance_after_a_broadcast_insertion():
     eng.run()
     online = [eng.nodes[v] for v in eng.online]
     assert len(online) == cfg.n_initial + 1 and {s.stage for s in online} == {1}
+    assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
+
+
+def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
+    from gasman.graph import SPLICE_MEMO_SIZE
+    from gasman.protocol import PolSummary
+
+    eng = _Engine(no_churn_cfg(n_initial=16, m=32))
+    # More deletions than the splice memo holds: each replica misses it.
+    victims = frozenset(range(10, 10 + SPLICE_MEMO_SIZE + 2))
+    summary = PolSummary(
+        sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
+        alive=frozenset(eng.online - victims), deletions=victims,
+    )
+    eng._on_deliver(summary, tuple(sorted(eng.online)))
+    online = [eng.nodes[v] for v in sorted(eng.online)]
+    assert len(online) == 10 and {s.graph.order for s in online} == {10}
     assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
 
 
@@ -362,9 +381,32 @@ def test_every_window_gets_at_most_one_summary():
     from gasman.protocol import PolSummary
 
     eng = _Engine(cfg)
+    air = record_air(eng)
     eng.run()
-    windows = [m.window for m in eng.message_log if isinstance(m, PolSummary)]
+    windows = [m.window for m in air if isinstance(m, PolSummary)]
     assert len(windows) == len(set(windows))
+
+
+@pytest.mark.parametrize("connectivity, count, expected", [
+    ("full_mesh", 966, "ef9d7768510a78a479aecfcd6adf430afaa63a38b35538718af7b74aefa5316d"),
+    # The 120 m data range refuses 48 acknowledgements, which are not on the air.
+    (GeometricConfig(400.0, 20.0, 0.5, 120.0, 200.0), 583,
+     "7956eb8b62c929f5962879b108d7449970e507fb8dfbda3c2d17129ab6d5437e"),
+])
+def test_recorded_air_matches_the_engines_former_message_log(connectivity, count, expected):
+    # Frozen from the engine's own list of every sent message, before it was
+    # deleted; re-entries put proof rounds on the air in both scenarios.
+    eng = _Engine(no_churn_cfg(
+        n_initial=12, m=24, l=5, duration=100.0, seed=3,
+        churn=ChurnConfig(0.2, 0.3, 0.3), connectivity=connectivity,
+    ))
+    air = record_air(eng)
+    eng.run()
+    kinds = {type(m).__name__ for m in air}
+    assert {"ZkpCommit", "ZkpChallenge", "ZkpResponse", "AccessGrant"} <= kinds
+    text = "".join(f"{type(m).__name__} {m.sender} {m.sent_at!r}\n" for m in air)
+    assert len(air) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_determinism_trace_and_metrics_bytes():
@@ -706,18 +748,19 @@ def test_secure_channel_never_crosses_a_data_only_pair():
 
     engine = _Engine(no_churn_cfg(connectivity=GEO))
     engine.positions = place({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (3.0, 0.0)})
+    air = record_air(engine)
     assert reachable(0, 1, engine.positions, engine.cfg) is Reach.DATA
     transfer = CycleTransfer(
         sender=0, stage=0, sent_at=0.0, cycle=engine.nodes[0].cycle
     )
     # 100 m apart the pair shares only the data channel: refused, unmetered.
     assert not engine._meter_unicast(transfer, 0, 1)
-    assert engine.metrics.counts["cycle_transfer"] == 0 and engine.message_log == []
+    assert engine.metrics.counts["cycle_transfer"] == 0 and air == []
     # 3 m apart it is within secure range.
     assert engine._meter_unicast(transfer, 0, 2)
     assert engine.metrics.counts["cycle_transfer"] == 1
     assert engine.metrics.bytes["cycle_transfer"] == transfer.size()
-    assert engine.message_log == [transfer]
+    assert air == [transfer]
 
 
 def test_partitioned_minority_is_deleted_by_the_quorum_side():

@@ -224,6 +224,66 @@ def test_verifier_is_total_on_hostile_input(challenge, d1, d2, seed, reveal_cycl
     assert ok or isinstance(reason, str)
 
 
+def test_unencodable_ids_in_a_response_are_rejected_not_raised():
+    g, hc = small_instance()
+    secret, com = prover_commit(g, hc, Random(7))
+    p = secret.permutation
+    # The constructor admits 7.0 for 7, since the sorted image equals the domain.
+    floated = Permutation(p.domain, tuple(float(v) if v == 7 else v for v in p.image))
+    assert verifier_check(g, com, 1, RevealPermutation(floated)) == (
+        False, "unencodable response"
+    )
+    beyond = Graph(secret.permuted_graph.vertices | {2**32}, secret.permuted_graph.edges)
+    assert verifier_check(g, com, 0, RevealCycle(beyond, secret.permuted_cycle)) == (
+        False, "unencodable response"
+    )
+
+
+HOSTILE_IDS = st.sampled_from([-1, 2**32, 2**64, 1.5, 7.0, True])
+
+
+@st.composite
+def hostile_responses(draw, secret):
+    """A response that bends one part of an honest one: an image entry, the
+    domain, a vertex or edge endpoint of the opened graph, or a cycle entry."""
+    p, pg, pc = secret.permutation, secret.permuted_graph, secret.permuted_cycle
+    kind = draw(st.sampled_from(["image", "domain", "vertex", "endpoint", "cycle"]))
+    if kind == "image":
+        floats = draw(st.sets(st.sampled_from(p.domain)))
+        image = tuple(float(v) if v in floats else v for v in p.image)
+        return RevealPermutation(Permutation(p.domain, image))
+    if kind == "domain":
+        domain = draw(st.lists(
+            st.integers(-2, 2**33) | HOSTILE_IDS, min_size=1, max_size=10, unique=True
+        ))
+        image = draw(st.permutations(domain))
+        return RevealPermutation(Permutation(tuple(domain), tuple(image)))
+    if kind == "vertex":
+        extra = draw(HOSTILE_IDS | st.just("7"))
+        return RevealCycle(Graph(pg.vertices | {extra}, pg.edges), pc)
+    if kind == "endpoint":
+        u, v = draw(st.sampled_from(sorted(pg.edges)))
+        edges = (pg.edges - {(u, v)}) | {(float(u), v)}
+        return RevealCycle(Graph(pg.vertices, edges), pc)
+    order = list(pc.order)
+    order[draw(st.integers(0, len(order) - 1))] = draw(HOSTILE_IDS)
+    return RevealCycle(pg, HamiltonianCycle(tuple(order)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1), st.integers(), st.data())
+def test_verifier_is_total_on_unencodable_and_mismatched_responses(challenge, seed, data):
+    g, hc = small_instance()
+    secret, com = prover_commit(g, hc, Random(seed))
+    response = data.draw(hostile_responses(secret))
+    ok, reason = verifier_check(g, com, challenge, response)
+    assert isinstance(ok, bool)
+    assert ok or isinstance(reason, str)
+    # Only a bent part that still equals the honest one can pass: ``True`` for 1.
+    if ok:
+        assert response == prover_respond(secret, challenge)
+
+
 # ---------------------------------------------------------------------------
 # run_proof
 # ---------------------------------------------------------------------------
