@@ -17,8 +17,15 @@ to its result, if there are any.
 
 A graph encodes its edges as 64-bit keys ``u << 32 | v``: once the vertex
 list has packed as 32-bit ids, every key packs to the same bytes and sorts in
-the same order as the endpoint pair would.  ``permute_graph`` builds the keys
-while it relabels and stores the encoding on the graph it returns.
+the same order as the endpoint pair would.
+
+Relabeling works by position.  A graph that is relabeled keeps a relabel
+table: each vertex's position in the sorted vertex list, the encoded vertex
+header and an ``itemgetter`` over the positions of every edge endpoint.  The
+``image`` of a permutation of the vertex set is indexed by the same
+positions, so one call of the getter relabels every endpoint.
+``permute_graph`` builds the relabeled graph and its encoding, and
+``apply_permutation`` maps the cycle through the same positions.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from random import Random
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Callable, Iterable, NamedTuple
 
 NodeId = int
 
@@ -86,10 +94,24 @@ def _norm_edge(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
 
 
 def _shuffle(items: list, rng: Random) -> None:
-    """In-place Fisher-Yates driven only by ``rng.randrange``."""
+    """In-place Fisher-Yates driven only by ``rng.randrange``.
+
+    ``rng.shuffle`` draws the same numbers from a plain ``Random``, but it
+    skips ``randrange``, so a source that overrides ``randrange`` would no
+    longer drive the shuffle.
+    """
+    randrange = rng.randrange
     for i in range(len(items) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        j = randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+class _RelabelTable(NamedTuple):
+    """Per-graph positions for relabeling through ``Permutation.image``."""
+
+    position: dict  # vertex -> its index among the sorted vertices
+    head: bytes  # the encoded vertex header
+    ends: Callable[[tuple], tuple]  # image -> relabeled endpoints, flat, in ``edges`` order
 
 
 @dataclass(frozen=True)
@@ -104,6 +126,7 @@ class Graph:
     edges: frozenset[tuple[NodeId, NodeId]]
     _encoding: bytes = field(init=False, repr=False, compare=False, default=None)
     _digest: bytes = field(init=False, repr=False, compare=False, default=None)
+    _relabel: _RelabelTable = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
@@ -148,16 +171,18 @@ class HamiltonianCycle:
     Canonical form rotates the sequence so the smallest id comes first and
     orients it so the second element is the smaller of the first element's two
     cycle neighbors.  Any rotation or reflection of the same cycle therefore
-    constructs an identical value, which keeps hashing byte-exact.
+    constructs an identical value, which keeps hashing byte-exact.  The
+    vertex positions are indexed when a query first needs them.
     """
 
     order: tuple[NodeId, ...]
-    _pos: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        canonical = _canonical_rotation(tuple(self.order))
-        object.__setattr__(self, "order", canonical)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(canonical)})
+        object.__setattr__(self, "order", _canonical_rotation(tuple(self.order)))
+
+    @cached_property
+    def _pos(self) -> dict:
+        return {v: i for i, v in enumerate(self.order)}
 
     def __len__(self) -> int:
         return len(self.order)
@@ -239,9 +264,6 @@ class Permutation:
         _shuffle(image, rng)
         return cls._trusted(tuple(domain), tuple(image))
 
-    def as_dict(self) -> dict[NodeId, NodeId]:
-        return dict(zip(self.domain, self.image))
-
     def inverse(self) -> "Permutation":
         return Permutation(self.image, self.domain)
 
@@ -312,11 +334,34 @@ def is_hamiltonian_cycle(g: Graph, hc: HamiltonianCycle) -> bool:
     n = len(order)
     if n < 3 or n != len(g.vertices):
         return False
-    if len(set(order)) != n or set(order) != g.vertices:
+    members = set(order)
+    if len(members) != n or members != g.vertices:
         return False
     edges = g.edges
-    return all((u, v) in edges if u < v else (v, u) in edges
-               for u, v in zip(order, order[1:] + order[:1]))
+    u = order[-1]  # the closing edge comes first
+    for v in order:
+        if (u, v) not in edges if u < v else (v, u) not in edges:
+            return False
+        u = v
+    return True
+
+
+def _relabel_table(g: Graph) -> _RelabelTable:
+    """``g``'s relabel table, built on first use and kept on ``g``.
+
+    Raises ``GraphError`` when an id of ``g`` has no encoding.
+    """
+    table = g._relabel
+    if table is None:
+        # Encoding first rejects every id that cannot be packed or sorted.
+        head = encode_graph(g)[: 5 + 4 * len(g.vertices)]
+        position = {v: i for i, v in enumerate(sorted(g.vertices))}
+        flat = [position[x] for edge in g.edges for x in edge]
+        # ``itemgetter()`` takes at least one item; an edgeless graph slices none.
+        ends = itemgetter(*flat) if flat else itemgetter(slice(0))
+        table = _RelabelTable(position, head, ends)
+        object.__setattr__(g, "_relabel", table)
+    return table
 
 
 def permute_graph(g: Graph, p: Permutation) -> Graph:
@@ -328,23 +373,17 @@ def permute_graph(g: Graph, p: Permutation) -> Graph:
     """
     if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
-    mapping = p.as_dict()
-    # Version byte, vertex count and vertex ids; the pack also bounds every id.
-    head = encode_graph(g)[: 5 + 4 * len(g.vertices)]
-    edges = []
-    keys = []
+    table = _relabel_table(g)
+    # The domain is sorted, so ``p.image[i]`` relabels the vertex at position ``i``.
+    ends = iter(table.ends(p.image))
     try:
-        for u, v in g.edges:
-            u, v = mapping[u], mapping[v]
-            if u > v:
-                u, v = v, u
-            edges.append((u, v))
-            keys.append(u << 32 | v)
+        edges = [(u, v) if u < v else (v, u) for u, v in zip(ends, ends)]
+        keys = [u << 32 | v for u, v in edges]
     except TypeError as exc:
         raise GraphError(f"node id out of encodable range: {exc}") from exc
     # A bijection of the vertex set cannot make a self-loop.
     relabeled = Graph._trusted(g.vertices, frozenset(edges))
-    object.__setattr__(relabeled, "_encoding", _graph_encoding(head, keys))
+    object.__setattr__(relabeled, "_encoding", _graph_encoding(table.head, keys))
     return relabeled
 
 
@@ -353,12 +392,12 @@ def apply_permutation(
 ) -> tuple[Graph, HamiltonianCycle]:
     """Build the isomorphic graph and the relabeled cycle, both canonical."""
     relabeled = permute_graph(g, p)
-    mapping = p.as_dict()
+    position = _relabel_table(g).position
     try:
-        cycle = HamiltonianCycle(tuple(mapping[v] for v in hc.order))
+        order = tuple(map(p.image.__getitem__, map(position.__getitem__, hc.order)))
     except KeyError as exc:
         raise PermutationDomainMismatch("permutation domain mismatch") from exc
-    return relabeled, cycle
+    return relabeled, HamiltonianCycle(order)
 
 
 # ---------------------------------------------------------------------------

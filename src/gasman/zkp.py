@@ -26,6 +26,7 @@ from .graph import (
     GraphError,
     HamiltonianCycle,
     Permutation,
+    PermutationDomainMismatch,
     apply_permutation,
     encode_cycle,
     encode_graph,
@@ -143,10 +144,10 @@ def verifier_check(
     if challenge == 1:
         if not isinstance(response, RevealPermutation):
             return False, "variant/challenge mismatch"
-        if frozenset(response.permutation.domain) != public_graph.vertices:
-            return False, "permutation domain mismatch"
         try:
             relabeled = permute_graph(public_graph, response.permutation)
+        except PermutationDomainMismatch:
+            return False, "permutation domain mismatch"
         except GraphError:
             return False, "unencodable response"
         if digest(encode_graph(relabeled)) != com.graph_digest:

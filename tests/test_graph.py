@@ -7,7 +7,7 @@ import weakref
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gasman import graph as graph_module
 from gasman.graph import (
@@ -141,7 +141,7 @@ def test_relabel_matches_edge_by_edge_oracle():
     g, hc = build_initial_graph(8, 12, rng)
     p = Permutation.random(g.vertices, rng)
     g2, hc2 = apply_permutation(g, hc, p)
-    mapping = p.as_dict()
+    mapping = dict(zip(p.domain, p.image))
     # Independent oracle: remap every edge individually.
     expected = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges}
     assert set(g2.edges) == expected
@@ -564,7 +564,7 @@ def test_an_endpoint_only_equal_to_a_vertex_raises_graph_error():
 @given(graphs(), st.randoms(use_true_random=False))
 def test_relabeling_matches_a_validated_reference(g, rng):
     p = Permutation.random(g.vertices, rng)
-    mapping = p.as_dict()
+    mapping = dict(zip(p.domain, p.image))
     expected = Graph(frozenset(mapping[v] for v in g.vertices),
                      frozenset((mapping[u], mapping[v]) for u, v in g.edges))
     relabeled = permute_graph(g, p)
@@ -593,3 +593,101 @@ def test_cycle_check_agrees_with_a_has_edge_reference(data):
     ))
     cycle = HamiltonianCycle(tuple(order))
     assert is_hamiltonian_cycle(g, cycle) == reference_is_hamiltonian_cycle(g, cycle.order)
+
+
+def reference_relabel_encoding(g, p):
+    """The relabeled graph's encoding, built from a dict and sorted tuples."""
+    mapping = dict(zip(p.domain, p.image))
+    vertices = sorted(g.vertices)
+    edges = sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges)
+    return (bytes([ENCODING_VERSION])
+            + struct.pack(f">I{len(vertices)}I", len(vertices), *vertices)
+            + struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+@example(Graph(frozenset({0, 1}), frozenset()), Random(0))
+@example(Graph(frozenset({0, 2**32 - 1}), frozenset({(0, 2**32 - 1)})), Random(0))
+@example(Graph(frozenset({5, 9, 2**32 - 1}), frozenset({(9, 2**32 - 1)})), Random(1))
+def test_relabel_encoding_matches_a_reference(g, rng):
+    p = Permutation.random(g.vertices, rng)
+    encoding = encode_graph(permute_graph(g, p))
+    assert encoding == reference_relabel_encoding(g, p)
+    # The second relabel reads the table the first one kept on ``g``.
+    assert g._relabel is not None
+    assert encode_graph(permute_graph(g, p)) == encoding
+
+
+def relabel_outcome(relabel, g, p):
+    try:
+        relabel(g, p)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return None
+
+
+def floated(p, v):
+    """``p`` with the image entry ``v`` replaced by ``float(v)``."""
+    return Permutation(p.domain, tuple(float(x) if x == v else x for x in p.image))
+
+
+def unencodable(bad):
+    return Graph(frozenset({0, 1, bad}), frozenset({(0, 1), (1, bad)}))
+
+
+HOSTILE_RELABELS = [
+    pytest.param(triangle(), Permutation((0, 1, 3), (1, 0, 3)), PermutationDomainMismatch,
+                 id="foreign-domain"),
+    pytest.param(triangle(), Permutation.identity({0, 1}), PermutationDomainMismatch,
+                 id="short-domain"),
+    pytest.param(unencodable(-1), Permutation.identity({0, 1, -1}), GraphError, id="id--1"),
+    pytest.param(unencodable(2**32), Permutation.identity({0, 1, 2**32}), GraphError,
+                 id="id-2**32"),
+    pytest.param(unencodable(1.5), Permutation.identity({0, 1, 1.5}), GraphError, id="id-1.5"),
+    pytest.param(cycle_graph([3, 7, 5, 9]), floated(Permutation((3, 5, 7, 9), (9, 3, 7, 5)), 7),
+                 GraphError, id="image-7.0"),
+    pytest.param(Graph(frozenset({0, 1, 2}), frozenset({(0, 1.0), (1, 2)})),
+                 Permutation.identity({0, 1, 2}), GraphError, id="endpoint-1.0"),
+    pytest.param(Graph(frozenset({0, 1, "a"}), frozenset({(0, 1)})),
+                 Permutation((0, 1), (1, 0)), PermutationDomainMismatch, id="mixed-foreign"),
+    # 7.0 relabels only an isolated vertex, so no key needs it: the relabel succeeds.
+    pytest.param(Graph(frozenset({3, 5, 7, 9}), frozenset({(3, 9), (5, 9)})),
+                 floated(Permutation((3, 5, 7, 9), (3, 5, 7, 9)), 7), None, id="isolated-7.0"),
+]
+
+
+@pytest.mark.parametrize("g, p, expected", HOSTILE_RELABELS)
+def test_relabel_raises_on_a_hostile_input(g, p, expected):
+    assert relabel_outcome(permute_graph, g, p) is expected
+    if expected is None:
+        assert encode_graph(permute_graph(g, p)) == reference_relabel_encoding(g, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True),
+       st.integers(0, 2**32 - 1))
+def test_cycle_indexes_positions_on_first_query(order, stranger):
+    cycle = HamiltonianCycle(tuple(order))
+    assert "_pos" not in vars(cycle)  # indexed only when a query needs it
+    n = len(order)
+    canonical = cycle.order
+    for i, v in enumerate(canonical):
+        after, before = canonical[(i + 1) % n], canonical[i - 1]
+        assert cycle.successor(v) == after
+        assert cycle.neighbors_of(v) == (before, after)
+        for w in (*order, stranger):
+            assert cycle.adjacent(v, w) == (w in (before, after) and w != v)
+    assert "_pos" in vars(cycle)
+    assert cycle == HamiltonianCycle(tuple(reversed(order)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.randoms(use_true_random=False))
+def test_relabeled_cycle_matches_a_dict_relabel(n, rng):
+    g, hc = build_initial_graph(n + n % 2, 2 * (n + n % 2), rng)
+    p = Permutation.random(g.vertices, rng)
+    relabeled, cycle = apply_permutation(g, hc, p)
+    mapping = dict(zip(p.domain, p.image))
+    assert cycle == HamiltonianCycle(tuple(mapping[v] for v in hc.order))
+    assert is_hamiltonian_cycle(relabeled, cycle)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gasman.graph import (
     Graph,
+    GraphError,
     HamiltonianCycle,
     Permutation,
     apply_permutation,
@@ -15,6 +16,7 @@ from gasman.graph import (
     encode_cycle,
     encode_graph,
     is_hamiltonian_cycle,
+    permute_graph,
 )
 from gasman.zkp import (
     Commitment,
@@ -282,6 +284,48 @@ def test_verifier_is_total_on_unencodable_and_mismatched_responses(challenge, se
     # Only a bent part that still equals the honest one can pass: ``True`` for 1.
     if ok:
         assert response == prover_respond(secret, challenge)
+
+
+def reference_check_one(public_graph, com, permutation):
+    """Challenge 1 checked through the relabeled graph itself."""
+    if frozenset(permutation.domain) != public_graph.vertices:
+        return False, "permutation domain mismatch"
+    try:
+        relabeled = permute_graph(public_graph, permutation)
+        encoding = encode_graph(relabeled)
+    except GraphError:
+        return False, "unencodable response"
+    if digest(encoding) != com.graph_digest:
+        return False, "digest mismatch"
+    return True, None
+
+
+@st.composite
+def challenge_one_permutations(draw, secret, g):
+    """Honest, foreign (another relabeling or another vertex set) or hostile."""
+    kind = draw(st.sampled_from(["honest", "other", "foreign", "hostile"]))
+    if kind == "honest":
+        return secret.permutation
+    if kind == "other":
+        domain = sorted(g.vertices)
+        return Permutation(tuple(domain), tuple(draw(st.permutations(domain))))
+    if kind == "foreign":
+        vertices = draw(st.sets(st.integers(0, 2**32 - 1), max_size=10))
+        return Permutation.random(vertices, draw(st.randoms(use_true_random=False)))
+    response = draw(hostile_responses(secret).filter(lambda r: isinstance(r, RevealPermutation)))
+    return response.permutation
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.data())
+def test_challenge_one_check_matches_a_permute_graph_reference(seed, data):
+    g, hc = small_instance()
+    secret, com = prover_commit(g, hc, Random(seed))
+    permutation = data.draw(challenge_one_permutations(secret, g))
+    expected = reference_check_one(g, com, permutation)
+    assert verifier_check(g, com, 1, RevealPermutation(permutation)) == expected
+    if permutation is secret.permutation:
+        assert expected == (True, None)
 
 
 # ---------------------------------------------------------------------------
