@@ -11,9 +11,9 @@ and ``Permutation(...)`` constructors validate; the splices and
 ``permute_graph`` build through the trusted ``Graph._trusted``, and
 ``Permutation.random`` and ``Permutation.identity`` through
 ``Permutation._trusted``.  A graph keeps its encoding and digest, and the
-splices are memoized by value, so all replicas share one graph and cycle.
-A splice that misses the memo still returns the live graph and cycle equal
-to its result, if there are any.
+results of the splices made from it, so all replicas of one parent graph
+share one graph and cycle.  Results are shared by parent object, not by
+value, and a graph keeps alive every later graph spliced from it.
 
 A graph encodes its edges as 64-bit keys ``u << 32 | v``: once the vertex
 list has packed as 32-bit ids, every key packs to the same bytes and sorts in
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from random import Random
 from typing import AbstractSet, Callable, Iterable, NamedTuple
@@ -46,15 +45,6 @@ ENCODING_VERSION = 0x01
 
 #: Random-draw budget for the unambiguous-neighbor-set construction.
 NEIGHBOR_SET_RETRY_BUDGET = 1000
-
-#: Splice results kept; replicas apply records in lockstep, so a few suffice.
-SPLICE_MEMO_SIZE = 4
-
-#: Every live splice result, by value; an entry goes when its value dies.  A
-#: summary deleting more nodes than the memo holds makes each replica splice
-#: afresh, and without these each would keep its own equal graph and cycle.
-_LIVE_GRAPHS: weakref.WeakValueDictionary[tuple, Graph] = weakref.WeakValueDictionary()
-_LIVE_CYCLES: weakref.WeakValueDictionary[tuple, HamiltonianCycle] = weakref.WeakValueDictionary()
 
 
 class GraphError(ValueError):
@@ -127,6 +117,7 @@ class Graph:
     _encoding: bytes = field(init=False, repr=False, compare=False, default=None)
     _digest: bytes = field(init=False, repr=False, compare=False, default=None)
     _relabel: _RelabelTable = field(init=False, repr=False, compare=False, default=None)
+    _splices: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
@@ -547,6 +538,13 @@ def locate_insertion_pair(
     return (u, v) if hc.successor(u) == v else (v, u)
 
 
+def _splice_results(g: Graph) -> dict:
+    """The splice results made from ``g``, by the splice's other arguments; kept on ``g``."""
+    if g._splices is None:
+        object.__setattr__(g, "_splices", {})
+    return g._splices
+
+
 def splice_insert(
     g: Graph,
     hc: HamiltonianCycle,
@@ -556,60 +554,57 @@ def splice_insert(
     """Insert ``new_id`` between the unique adjacent pair of ``neighbors``.
 
     The displaced cycle edge stays in the graph; only the cycle routes around
-    the newcomer.  Equal arguments return the same (memoized) objects.
+    the newcomer.  The result is kept on ``g``, by parent object: the same
+    call on ``g`` returns the same objects, a graph merely equal to ``g`` gets
+    its own equal result, and whoever holds ``g`` keeps every later splice of
+    it alive.  A splice that raises keeps nothing, so it raises every time.
     """
-    return _splice_insert(g, hc, new_id, frozenset(neighbors))
-
-
-@lru_cache(maxsize=SPLICE_MEMO_SIZE)
-def _splice_insert(
-    g: Graph, hc: HamiltonianCycle, new_id: NodeId, neighbor_set: frozenset[NodeId]
-) -> tuple[Graph, HamiltonianCycle]:
-    # Ids must be ints: a float equal to a member id would pass the other
-    # checks, share the memo entry of that int and then fail to encode.
-    if (not all(isinstance(v, int) for v in (new_id, *neighbor_set)) or new_id < 0
-            or new_id in g.vertices or not neighbor_set <= g.vertices):
+    neighbor_set = frozenset(neighbors)
+    # Checked before the lookup: a float equal to a member id would match the
+    # int's result, and an id that cannot be encoded would splice and only
+    # then fail in ``graph_digest``, with the replica already updated.
+    if not all(isinstance(v, int) and 0 <= v < 2**32 for v in (new_id, *neighbor_set)):
         raise InvalidSplice("invalid splice")
-    v_j, v_k = locate_insertion_pair(hc, neighbor_set)
-    i = hc.order.index(v_j)
-    new_order = hc.order[: i + 1] + (new_id,) + hc.order[i + 1:]
-    # The newcomer is not a vertex yet, so none of its edges is a loop.
-    edges = g.edges | {_norm_edge(new_id, w) for w in neighbor_set}
-    return _live_result(g.vertices | {new_id}, edges, new_order)
+    results = _splice_results(g)
+    key = (hc, new_id, neighbor_set)
+    result = results.get(key)
+    if result is None:
+        if new_id in g.vertices or not neighbor_set <= g.vertices:
+            raise InvalidSplice("invalid splice")
+        v_j, v_k = locate_insertion_pair(hc, neighbor_set)
+        i = hc.order.index(v_j)
+        new_order = hc.order[: i + 1] + (new_id,) + hc.order[i + 1:]
+        # The newcomer is not a vertex yet, so none of its edges is a loop.
+        edges = g.edges | {_norm_edge(new_id, w) for w in neighbor_set}
+        graph = Graph._trusted(g.vertices | {new_id}, edges)
+        result = results[key] = graph, HamiltonianCycle(new_order)
+    return result
 
 
-@lru_cache(maxsize=SPLICE_MEMO_SIZE)
 def splice_delete(
     g: Graph, hc: HamiltonianCycle, victim: NodeId
 ) -> tuple[Graph, HamiltonianCycle]:
     """Remove ``victim``, bridging its two cycle neighbors with a new edge.
 
     Every edge incident to the victim leaves the graph; the bridge edge joins
-    its former cycle neighbors so the cycle stays closed.  Memoized like
-    :func:`splice_insert`.
+    its former cycle neighbors so the cycle stays closed.  The result is kept
+    on ``g`` like that of :func:`splice_insert`.
     """
-    if victim not in g.vertices or victim not in hc.vertices:
-        raise UnknownNode("unknown node")
-    if len(g.vertices) < 4:
-        raise BelowMinimumOrder("below minimum order")
-    v_j, v_k = hc.neighbors_of(victim)
-    # The bridge must be an edge between two other vertices of the graph.
-    if v_j == v_k or v_j not in g.vertices or v_k not in g.vertices:
-        raise InvalidSplice("cycle does not match the graph")
-    new_edges = {e for e in g.edges if victim not in e}
-    new_edges.add(_norm_edge(v_j, v_k))
-    new_order = tuple(v for v in hc.order if v != victim)
-    return _live_result(g.vertices - {victim}, frozenset(new_edges), new_order)
-
-
-def _live_result(
-    vertices: frozenset, edges: frozenset, order: tuple
-) -> tuple[Graph, HamiltonianCycle]:
-    """The live graph and cycle equal to a splice's result, else new ones."""
-    graph = _LIVE_GRAPHS.get((vertices, edges))
-    if graph is None:
-        graph = _LIVE_GRAPHS[vertices, edges] = Graph._trusted(vertices, edges)
-    cycle = _LIVE_CYCLES.get(order)
-    if cycle is None:
-        cycle = _LIVE_CYCLES[order] = HamiltonianCycle(order)
-    return graph, cycle
+    results = _splice_results(g)
+    key = (hc, victim)
+    result = results.get(key)
+    if result is None:
+        if victim not in g.vertices or victim not in hc.vertices:
+            raise UnknownNode("unknown node")
+        if len(g.vertices) < 4:
+            raise BelowMinimumOrder("below minimum order")
+        v_j, v_k = hc.neighbors_of(victim)
+        # The bridge must be an edge between two other vertices of the graph.
+        if v_j == v_k or v_j not in g.vertices or v_k not in g.vertices:
+            raise InvalidSplice("cycle does not match the graph")
+        new_edges = {e for e in g.edges if victim not in e}
+        new_edges.add(_norm_edge(v_j, v_k))
+        new_order = tuple(v for v in hc.order if v != victim)
+        graph = Graph._trusted(g.vertices - {victim}, frozenset(new_edges))
+        result = results[key] = graph, HamiltonianCycle(new_order)
+    return result

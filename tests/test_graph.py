@@ -9,10 +9,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gasman import graph as graph_module
 from gasman.graph import (
     ENCODING_VERSION,
-    SPLICE_MEMO_SIZE,
     AmbiguousBroadcast,
     BelowMinimumOrder,
     Graph,
@@ -369,7 +367,7 @@ def test_splice_closure_over_random_op_sequences(seed):
 
 
 # ---------------------------------------------------------------------------
-# Shared values: splice memo, cached encoding, trusted construction
+# Shared values: splice results, cached encoding, trusted construction
 # ---------------------------------------------------------------------------
 
 def validated_insert(g, hc, new_id, neighbors):
@@ -397,7 +395,7 @@ def test_memoized_splices_match_validated_construction(seed, inserts):
     rng = Random(seed)
     g, hc = build_initial_graph(8, 16, rng)
     for insert in inserts:
-        # Equal values held by another replica: rebuilt, not shared.
+        # Equal values held by another replica: they get their own result.
         g_copy, hc_copy = Graph(g.vertices, g.edges), HamiltonianCycle(hc.order)
         if insert or g.order <= 5:
             neighbors = neighbor_set_for_insert(g, hc, 3, rng)
@@ -410,6 +408,7 @@ def test_memoized_splices_match_validated_construction(seed, inserts):
                 with pytest.raises(AmbiguousBroadcast):
                     splice_insert(g, hc, new_id, hc.order[:3])
             again = splice_insert(g_copy, hc_copy, new_id, sorted(neighbors))
+            shared = splice_insert(g, hc_copy, new_id, sorted(neighbors))
         else:
             victim = sorted(g.vertices)[rng.randrange(g.order)]
             out = splice_delete(g, hc, victim)
@@ -418,38 +417,40 @@ def test_memoized_splices_match_validated_construction(seed, inserts):
                 with pytest.raises(UnknownNode):
                     splice_delete(g, hc, max(g.vertices) + 1)
             again = splice_delete(g_copy, hc_copy, victim)
+            shared = splice_delete(g, hc_copy, victim)
         assert out == expected
         assert encode_graph(out[0]) == encode_graph(expected[0])
         assert encode_graph(out[0]) is encode_graph(out[0])
-        assert again[0] is out[0] and again[1] is out[1]
+        assert again == out
+        assert shared[0] is out[0] and shared[1] is out[1]
         assert is_hamiltonian_cycle(*out)
         g, hc = out
 
 
-def test_a_splice_that_misses_the_memo_returns_the_live_equal_result():
+def test_replicas_deleting_many_nodes_share_every_result():
     g, hc = build_initial_graph(12, 24, Random(5))
-    # Each replica deletes more nodes than the memo holds, one after another,
-    # so the second finds every entry of the first evicted.
-    victims = sorted(g.vertices)[: SPLICE_MEMO_SIZE + 2]
+    victims = sorted(g.vertices)[:6]
+    # Two replicas of one parent delete six nodes one after another.
     replicas = []
     for _ in range(2):
-        state = (g, hc)
+        states = [(g, hc)]
         for victim in victims:
-            state = splice_delete(*state, victim)
-        replicas.append(state)
-    assert replicas[1][0] is replicas[0][0] and replicas[1][1] is replicas[0][1]
+            states.append(splice_delete(*states[-1], victim))
+        replicas.append(states)
+    assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(*replicas))
     neighbors = neighbor_set_for_insert(g, hc, 3, Random(1))
     inserted = splice_insert(g, hc, 99, neighbors)
-    graph_module._splice_insert.cache_clear()
-    again = splice_insert(g, hc, 99, neighbors)
+    again = splice_insert(g, hc, 99, sorted(neighbors))
     assert again[0] is inserted[0] and again[1] is inserted[1]
-    # Only the holders keep a result alive, not the table that shares it.
-    results = [weakref.ref(x) for x in (*replicas[0], *inserted)]
-    del replicas, state, inserted, again
-    splice_delete.cache_clear()
-    graph_module._splice_insert.cache_clear()
+    # The parent keeps its results alive after their holders let go ...
+    results = [weakref.ref(x) for x in (*itertools.chain(*replicas[0][1:]), *inserted)]
+    del replicas, states, inserted, again
     gc.collect()
-    assert [r() for r in results] == [None] * 4
+    assert all(r() is not None for r in results)
+    # ... and nothing does once the parent goes too.
+    del g, hc
+    gc.collect()
+    assert [r() for r in results] == [None] * len(results)
 
 
 def test_splice_insert_rejects_non_integer_ids_before_the_memo_sees_them():
@@ -461,6 +462,14 @@ def test_splice_insert_rejects_non_integer_ids_before_the_memo_sees_them():
         splice_insert(g, hc, 4.0, {0, 1})
     g1, _ = splice_insert(g, hc, 4, {0, 1})
     assert encode_graph(g1) == encode_graph(Graph(g1.vertices, g1.edges))
+    # After the int call has stored its result, the equal floats still raise.
+    with pytest.raises(InvalidSplice):
+        splice_insert(g, hc, 4.0, {0, 1})
+    with pytest.raises(InvalidSplice):
+        splice_insert(g, hc, 4, {0.0, 1})
+    for unencodable in (-1, 2**32):
+        with pytest.raises(InvalidSplice):
+            splice_insert(g, hc, unencodable, {0, 1})
 
 
 def test_splice_delete_rejects_a_cycle_that_leaves_the_graph():

@@ -4,7 +4,14 @@ from random import Random
 
 import pytest
 
-from gasman.graph import Graph, HamiltonianCycle, build_initial_graph, is_hamiltonian_cycle
+from gasman.graph import (
+    Graph,
+    HamiltonianCycle,
+    InvalidSplice,
+    build_initial_graph,
+    is_hamiltonian_cycle,
+    neighbor_set_for_insert,
+)
 from gasman.protocol import (
     AccessRequest,
     Aborted,
@@ -99,6 +106,25 @@ def test_duplicate_id_insertion_is_rejected_and_flagged():
         apply_insertion_update(nodes[2], broadcast, CFG, 1.0)
     assert 3 in nodes[2].sybil_flags
     assert nodes[2].stage == 0
+
+
+def test_an_unencodable_insertion_id_leaves_the_replica_unchanged():
+    graph, cycle = build_initial_graph(8, 16, Random(1))
+    state = NodeState.initial(0, graph, cycle)
+
+    def replica():
+        return (state.graph, state.cycle, state.stage, list(state.fifo),
+                dict(state.stage_history), set(state.online_view))
+
+    before = replica()
+    neighbors = neighbor_set_for_insert(graph, cycle, 3, Random(2))
+    broadcast = NeighborSetBroadcast(
+        sender=3, stage=1, sent_at=1.0, node=2**32, neighbors=neighbors
+    )
+    with pytest.raises(InvalidSplice):
+        apply_insertion_update(state, broadcast, CFG, 1.0)
+    assert replica() == before
+    assert state.graph is graph and state.cycle is cycle
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,9 +1,11 @@
 """Engine behavior: determinism, traffic accounting, mobility, partitions."""
 
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 from dataclasses import replace
 from random import Random
 
@@ -12,6 +14,8 @@ from conftest import record_air
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasman.cli import main as gasman_cli
+from gasman.graph import Graph, HamiltonianCycle
 from gasman.simulator import (
     ChurnConfig,
     GeometricConfig,
@@ -272,12 +276,11 @@ def test_replicas_share_one_instance_after_a_broadcast_insertion():
 
 
 def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
-    from gasman.graph import SPLICE_MEMO_SIZE
     from gasman.protocol import PolSummary
 
     eng = _Engine(no_churn_cfg(n_initial=16, m=32))
-    # More deletions than the splice memo holds: each replica misses it.
-    victims = frozenset(range(10, 10 + SPLICE_MEMO_SIZE + 2))
+    # Each replica applies the six deletions one after another.
+    victims = frozenset(range(10, 16))
     summary = PolSummary(
         sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
         alive=frozenset(eng.online - victims), deletions=victims,
@@ -286,6 +289,27 @@ def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
     online = [eng.nodes[v] for v in sorted(eng.online)]
     assert len(online) == 10 and {s.graph.order for s in online} == {10}
     assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
+
+
+def test_no_graph_outlives_its_run():
+    def live_instances():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) in (Graph, HamiltonianCycle)]
+
+    # Held so that no instance made by the run can take one of their ids.
+    before = live_instances()
+    known = {id(o) for o in before}
+    cfg = no_churn_cfg(
+        n_initial=12, m=24, T=5.0, l=5, duration=60.0, seed=3,
+        churn=ChurnConfig(0.3, 0.3, 0.3),
+    )
+    eng = _Engine(cfg)
+    eng.run()
+    made = [weakref.ref(o) for o in live_instances() if id(o) not in known]
+    assert made
+    del eng
+    gc.collect()
+    assert [r() for r in made if r() is not None] == []
 
 
 def test_engine_queues_one_tick_per_periodic_stream_for_any_duration():
@@ -800,6 +824,47 @@ def test_evenly_split_partition_aborts_instead_of_deleting():
     text = result.trace_text()
     assert "aborted" in text
     assert "is deleted" not in text
+
+
+# ---------------------------------------------------------------------------
+# Whole-run properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(8, 20),
+    churn=st.tuples(*[st.integers(0, 50).map(lambda p: p / 100)] * 3),
+    duration=st.integers(60, 80),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_every_full_mesh_run_stays_valid(tmp_path_factory, n, churn, duration, seed):
+    # No FIFO time-order or retention check: ``apply_catch_up`` appends a
+    # returning replica's records without pruning them (ROADMAP item 8).
+    cfg = ScenarioConfig(
+        n_initial=n, m=2 * n, T=5.0, l=5, duration=float(duration), seed=seed,
+        churn=ChurnConfig(*churn),
+    )
+    engine = _Engine(cfg)
+    reused = []
+    spawn = engine._spawn_member
+
+    def checked_spawn(auth, outcome, new_id):
+        if new_id in engine.online or new_id in engine.offline:
+            reused.append(new_id)
+        spawn(auth, outcome, new_id)
+
+    engine._spawn_member = checked_spawn
+    result = engine.run()
+    assert reused == [], "a newcomer got the id of a live node"
+    trace = tmp_path_factory.getbasetemp() / "full_mesh_trace.tsv"
+    trace.write_text(result.trace_text(), encoding="utf-8")
+    assert gasman_cli(["trace-check", str(trace)]) == 0
+    by_stage = {}
+    for v in engine.online:
+        state = engine.nodes[v]
+        by_stage.setdefault(state.stage, set()).add(state.fingerprint())
+    assert all(len(prints) == 1 for prints in by_stage.values()), "replicas diverged"
+    assert all(not s.sybil_flags for s in engine.nodes.values())
 
 
 # ---------------------------------------------------------------------------
