@@ -84,15 +84,18 @@ def _norm_edge(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
 
 
 def _shuffle(items: list, rng: Random) -> None:
-    """In-place Fisher-Yates driven only by ``rng.randrange``.
+    """In-place Fisher-Yates that reads only ``rng.getrandbits``.
 
-    ``rng.shuffle`` draws the same numbers from a plain ``Random``, but it
-    skips ``randrange``, so a source that overrides ``randrange`` would no
-    longer drive the shuffle.
+    Each index is drawn by ``Random.randrange``'s rejection rule, so a
+    ``Random`` gives the draws and state of ``randrange(i + 1)`` without its two
+    Python frames per draw; a test source scripts them through ``getrandbits``.
     """
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     for i in range(len(items) - 1, 0, -1):
-        j = randrange(i + 1)
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
         items[i], items[j] = items[j], items[i]
 
 
@@ -163,7 +166,7 @@ class HamiltonianCycle:
     orients it so the second element is the smaller of the first element's two
     cycle neighbors.  Any rotation or reflection of the same cycle therefore
     constructs an identical value, which keeps hashing byte-exact.  The
-    vertex positions are indexed when a query first needs them.
+    vertex positions and the hash are computed when first needed.
     """
 
     order: tuple[NodeId, ...]
@@ -174,6 +177,13 @@ class HamiltonianCycle:
     @cached_property
     def _pos(self) -> dict:
         return {v: i for i, v in enumerate(self.order)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.order,))  # the hash the dataclass would generate
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.order)

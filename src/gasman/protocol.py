@@ -542,7 +542,8 @@ def access_control(
 
 def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) -> None:
     """Replay a grant's records onto a returning replica, which then lists
-    itself on-line in its own view."""
+    itself on-line in its own view and puts its FIFO back in time order,
+    pruned at the grant's send time."""
     for rec in grant.records:
         if isinstance(rec, PolRecord):
             state.fifo.append(rec)
@@ -556,6 +557,8 @@ def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) ->
         raise ProtocolError(
             f"catch-up incomplete: reached stage {state.stage}, expected {grant.current_stage}"
         )
+    state.fifo.sort(key=lambda r: r.timestamp)
+    prune_fifo(state, grant.sent_at, cfg)
     state.online_view.add(state.id)
 
 

@@ -943,6 +943,10 @@ class _Engine:
         forced_neighbors: Optional[frozenset[NodeId]] = None,
         author: Optional[NodeId] = None,
     ) -> None:
+        # The author proposes an id from its replica, so one that has not yet
+        # heard the last insertion would propose that insertion's id again.
+        if self._defer("start_insertion", (forced_id, forced_neighbors, author)):
+            return
         online = sorted(self.online)
         if not online or self.pending_insert is not None:
             return  # first announce wins; overlapping requests abort
@@ -961,6 +965,8 @@ class _Engine:
         self.pending_insert = _Insertion(auth_id, proposed, forced_id, forced_neighbors)
         self._broadcast(announce, auth_id)
         self._push(self.now_us + COLLECT_CLOSE_US, "ack_close", (auth_id,))
+
+    _on_start_insertion = _start_insertion
 
     def _handle_insertion_announce(self, state: NodeState, msg: InsertionAnnounce) -> None:
         if detect_sybil(state, (msg,)):

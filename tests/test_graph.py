@@ -79,6 +79,25 @@ def test_rotations_and_reflections_canonicalize_identically(n, seed):
     assert HamiltonianCycle(tuple(base)).order == HamiltonianCycle(tuple(reflected)).order
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=4, max_value=12), st.integers())
+def test_equal_cycles_hash_equal_and_find_the_same_splice(n, seed):
+    rng = Random(seed)
+    base = list(range(n))
+    rng.shuffle(base)
+    k = rng.randrange(n)
+    rotated = base[k:] + base[:k]
+    cycles = [HamiltonianCycle(tuple(c)) for c in (base, rotated, rotated[::-1])]
+    # The kept hash is the one the dataclass would generate.
+    assert {hash(c) for c in cycles} == {hash((cycles[0].order,))}
+    g = Graph(frozenset(base), frozenset(zip(base, base[1:] + base[:1])))
+    deleted = splice_delete(g, cycles[0], base[0])
+    inserted = splice_insert(g, cycles[0], n, {base[0], base[1]})
+    for hc in cycles[1:]:
+        assert splice_delete(g, hc, base[0]) is deleted
+        assert splice_insert(g, hc, n, {base[1], base[0]}) is inserted
+
+
 def test_cycle_adjacency_queries():
     hc = HamiltonianCycle((0, 1, 2, 3, 4))
     assert hc.adjacent(0, 1)

@@ -838,8 +838,6 @@ def test_evenly_split_partition_aborts_instead_of_deleting():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_every_full_mesh_run_stays_valid(tmp_path_factory, n, churn, duration, seed):
-    # No FIFO time-order or retention check: ``apply_catch_up`` appends a
-    # returning replica's records without pruning them (ROADMAP item 8).
     cfg = ScenarioConfig(
         n_initial=n, m=2 * n, T=5.0, l=5, duration=float(duration), seed=seed,
         churn=ChurnConfig(*churn),
@@ -865,6 +863,42 @@ def test_every_full_mesh_run_stays_valid(tmp_path_factory, n, churn, duration, s
         by_stage.setdefault(state.stage, set()).add(state.fingerprint())
     assert all(len(prints) == 1 for prints in by_stage.values()), "replicas diverged"
     assert all(not s.sybil_flags for s in engine.nodes.values())
+    assert_fifos_ordered_and_retained(engine)
+
+
+def assert_fifos_ordered_and_retained(engine):
+    """Every on-line FIFO is in time order and spans at most the retention 2T."""
+    for v in engine.online:
+        times = [r.timestamp for r in engine.nodes[v].fifo]
+        assert times == sorted(times), f"node {v}: fifo out of time order"
+        if times:
+            assert times[0] >= times[-1] - 2 * engine.cfg.T, f"node {v}: retention exceeded"
+
+
+def test_a_returning_replica_prunes_its_caught_up_fifo():
+    # Node 4 re-enters with records from before its absence and the grant's
+    # newer ones; unpruned, its FIFO spanned 10.13 s > 2T.
+    cfg = ScenarioConfig(
+        n_initial=8, m=16, T=5.0, l=5, duration=64.0, seed=65348,
+        churn=ChurnConfig(0.35, 0.29, 0.3),
+    )
+    engine = _Engine(cfg)
+    engine.run()
+    assert 4 in engine.online
+    assert_fifos_ordered_and_retained(engine)
+
+
+def test_an_insertion_started_while_the_last_one_is_on_the_air_flags_no_one():
+    # At 56 s Node 25's insertion of id 12 is still on the air when Node 3
+    # starts the next one; announced at once, Node 3's replica proposed id 12
+    # again and every other replica flagged Node 3 as a Sybil.
+    cfg = ScenarioConfig(
+        n_initial=13, m=26, T=5.0, l=5, duration=60.0, seed=985216,
+        churn=ChurnConfig(0.45, 0.48, 0.46),
+    )
+    engine = _Engine(cfg)
+    engine.run()
+    assert all(not s.sybil_flags for s in engine.nodes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +920,7 @@ def test_online_replicas_hold_every_protocol_invariant_after_churn():
     for s in online:
         assert is_hamiltonian_cycle(s.graph, s.cycle)
         assert s.id in s.graph.vertices
-        times = [r.timestamp for r in s.fifo]
-        assert times == sorted(times), "fifo must stay time-ordered"
-        if times:
-            assert times[0] >= times[-1] - 2 * cfg.T, "retention window exceeded"
+    assert_fifos_ordered_and_retained(engine)
     deleted = [
         s for v, s in engine.nodes.items() if v not in engine.online | engine.offline
     ]

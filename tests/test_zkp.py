@@ -36,10 +36,18 @@ from gasman.zkp import (
 
 
 class IdentityDraws(Random):
-    """Randomness source whose Fisher-Yates draws leave sequences unchanged."""
+    """Randomness source whose Fisher-Yates draws leave ``n`` items unchanged.
 
-    def randrange(self, start, stop=None, step=1):  # noqa: ARG002
-        return (start if stop is None else stop - start) - 1
+    The shuffle reads only ``getrandbits``; this one answers the draw for
+    position ``i`` with ``i`` itself, for ``i`` from ``n - 1`` down to 1.
+    """
+
+    def __init__(self, n):
+        super().__init__(n)
+        self._draws = iter(range(n - 1, 0, -1))
+
+    def getrandbits(self, k):  # noqa: ARG002
+        return next(self._draws)
 
 
 def small_instance(seed=1, n=8, m=16):
@@ -86,7 +94,7 @@ def test_commitment_recomputable_from_secret():
 
 def test_identity_randomness_commits_to_the_public_graph():
     g, hc = small_instance()
-    _, com = prover_commit(g, hc, IdentityDraws())
+    _, com = prover_commit(g, hc, IdentityDraws(g.order))
     assert com.graph_digest == digest(encode_graph(g))
     assert com.cycle_digest == digest(encode_cycle(hc))
 
@@ -99,20 +107,51 @@ def test_commit_requires_a_valid_witness():
         prover_commit(g, bogus, Random(0))
 
 
+def randrange_shuffle(domain, rng):
+    """The reference Fisher-Yates: one ``rng.randrange(i + 1)`` per position."""
+    image = list(domain)
+    for i in range(len(image) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        image[i], image[j] = image[j], image[i]
+    return image
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 2**32 - 1), max_size=40, unique=True), st.integers())
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=300, unique=True), st.integers())
 def test_random_permutation_matches_the_validating_constructor(vertices, seed):
+    # Up to 300 ids, so the draws cross bit lengths 1 to 9.
     rng, replay = Random(seed), Random(seed)
     p = Permutation.random(frozenset(vertices), rng)
     domain = sorted(vertices)
-    image = list(domain)
-    for i in range(len(image) - 1, 0, -1):  # the same Fisher-Yates draws
-        j = replay.randrange(i + 1)
-        image[i], image[j] = image[j], image[i]
+    image = randrange_shuffle(domain, replay)
     assert p == Permutation(tuple(domain), tuple(image))
     assert (p.domain, p.image) == (tuple(domain), tuple(image))
     assert rng.getstate() == replay.getstate()
     assert Permutation.identity(frozenset(vertices)) == Permutation(tuple(domain), tuple(domain))
+
+
+class DelegatedBits(Random):
+    """A ``Random`` whose ``getrandbits`` draws from a second generator and
+    whose ``randrange`` refuses to draw."""
+
+    def __init__(self, seed):
+        super().__init__(0)
+        self.source = Random(seed)
+
+    def getrandbits(self, k):
+        return self.source.getrandbits(k)
+
+    def randrange(self, *args):
+        raise AssertionError("randrange called")
+
+
+def test_random_permutation_reads_only_getrandbits():
+    vertices = frozenset(range(0, 600, 2))
+    rng, replay = DelegatedBits(5), Random(5)
+    p = Permutation.random(vertices, rng)
+    assert list(p.image) == randrange_shuffle(sorted(vertices), replay)
+    assert rng.source.getstate() == replay.getstate()
+    assert rng.getstate() == Random(0).getstate()  # nothing read its own generator
 
 
 def test_honest_prover_checks_its_witness_at_construction():
