@@ -9,16 +9,16 @@ comes from one seeded generator, and all iteration over node sets is sorted.
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
 waypoint walk, and floods broadcasts over the resulting disk graph.  That
-graph (``disk_links``) is computed once per mobility tick, or per membership
-change that places a node, and its components (``flood_components``) once
-per on-line set, so until either changes a broadcast is a lookup.  Traffic
-is accounted per delivery: each node forwards a broadcast at most once and
-every copy a receiver hears is counted at the message's encoded size plus a
-fixed header.  A broadcast then reaches its recipients as one delivery event,
-handled in recipient id order.  A membership step due while a membership
-update is still on the air waits until that update has landed.  Whether a
-member is on-line, off-line or deleted is the engine's alone to track;
-replicas never hold it.
+graph (``disk_links``) is built by the first broadcast after the positions
+change (a mobility tick, or an insertion that places a node), and its
+components (``flood_components``) once per graph and on-line set, so until
+either changes a broadcast is a lookup.  Traffic is accounted per delivery:
+each node forwards a broadcast at most once and every copy a receiver hears
+is counted at the message's encoded size plus a fixed header.  A broadcast
+then reaches its recipients as one delivery event, handled in recipient id
+order.  A membership step due while a membership update is still on the air
+waits until that update has landed.  Whether a member is on-line, off-line
+or deleted is the engine's alone to track; replicas never hold it.
 """
 
 from __future__ import annotations
@@ -396,8 +396,15 @@ class ScenarioResult:
 # Mobility and reachability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaypointState:
+    """A node's place and walk, immutable by convention, not ``frozen=True``.
+
+    A frozen constructor costs four times a slotted one, once per moving node
+    per tick.  Nothing edits a state: the engine replaces its positions dict,
+    ``_spawn_member`` hands a newcomer its author's object, and nothing hashes one.
+    """
+
     x: float
     y: float
     dest_x: Optional[float] = None
@@ -407,35 +414,31 @@ class WaypointState:
 
 
 def step_mobility(
-    positions: dict[NodeId, WaypointState],
-    geo: GeometricConfig,
-    rng: Random,
-    dt: float,
-    now: float,
+    positions: dict[NodeId, WaypointState], geo: GeometricConfig, rng: Random, dt: float, now: float
 ) -> dict[NodeId, WaypointState]:
-    """Advance every node one random-waypoint step of ``dt`` seconds."""
-    return {node: _step_one(positions[node], geo, rng, dt, now) for node in sorted(positions)}
-
-
-def _step_one(
-    st: WaypointState, geo: GeometricConfig, rng: Random, dt: float, now: float
-) -> WaypointState:
-    if now < st.pause_until:
-        return st
-    dest_x, dest_y, speed = st.dest_x, st.dest_y, st.speed
-    if dest_x is None or dest_y is None:
-        # Pause over: pick the next waypoint and a fresh speed in (0, max].
-        dest_x = rng.uniform(0.0, geo.area_side)
-        dest_y = rng.uniform(0.0, geo.area_side)
-        speed = geo.speed_max * (1.0 - rng.random())
-    dx = dest_x - st.x
-    dy = dest_y - st.y
-    dist = math.hypot(dx, dy)
-    step = speed * dt
-    if dist <= step:
-        return WaypointState(dest_x, dest_y, None, None, 0.0, now + geo.pause)
-    x, y = st.x + step * dx / dist, st.y + step * dy / dist
-    return WaypointState(x, y, dest_x, dest_y, speed, st.pause_until)
+    """Advance every node, in id order, one random-waypoint step of ``dt`` seconds."""
+    uniform, random, hypot = rng.uniform, rng.random, math.hypot
+    side, speed_max, resume = geo.area_side, geo.speed_max, now + geo.pause
+    out = {}
+    for node in sorted(positions):
+        st = positions[node]
+        if now < st.pause_until:
+            out[node] = st
+            continue
+        x, y, dest_x, dest_y, speed = st.x, st.y, st.dest_x, st.dest_y, st.speed
+        if dest_x is None or dest_y is None:
+            # Pause over: pick the next waypoint and a fresh speed in (0, max].
+            dest_x, dest_y = uniform(0.0, side), uniform(0.0, side)
+            speed = speed_max * (1.0 - random())
+        dx, dy = dest_x - x, dest_y - y
+        dist = hypot(dx, dy)
+        step = speed * dt
+        if dist <= step:
+            out[node] = WaypointState(dest_x, dest_y, None, None, 0.0, resume)
+            continue
+        x, y = x + step * dx / dist, y + step * dy / dist
+        out[node] = WaypointState(x, y, dest_x, dest_y, speed, st.pause_until)
+    return out
 
 
 def reachable(
@@ -616,9 +619,8 @@ class _Engine:
         if isinstance(cfg.connectivity, GeometricConfig):
             side = cfg.connectivity.area_side
             for v in sorted(self.nodes):
-                self.positions[v] = WaypointState(
-                    x=self.rng.uniform(0.0, side), y=self.rng.uniform(0.0, side)
-                )
+                x, y = self.rng.uniform(0.0, side), self.rng.uniform(0.0, side)
+                self.positions[v] = WaypointState(x, y)
         duration_us = _us(cfg.duration)
         self._moves = duration_us // MOVE_DT_US if self.positions else 0
         self._churns = min(int(cfg.duration), duration_us // 1_000_000)
@@ -755,10 +757,8 @@ class _Engine:
 
     def _on_move(self, tick: int) -> None:
         self._queue_tick("move", tick + 1)
-        self.positions = step_mobility(
-            self.positions, self.cfg.connectivity, self.rng,
-            _sec(MOVE_DT_US), self.now_s,
-        )
+        geo, dt = self.cfg.connectivity, _sec(MOVE_DT_US)
+        self.positions = step_mobility(self.positions, geo, self.rng, dt, self.now_s)
 
     def _on_churn(self, second: int) -> None:
         self._queue_tick("churn", second + 1)
@@ -1041,8 +1041,12 @@ class _Engine:
         member.stage = auth.stage
         member.stage_history = {auth.stage: auth.stage_history[auth.stage]}
         member.online_view = set(auth.online_view)
-        # A reused id replaces whatever node held it.
+        # A reused id replaces whatever node held it, windows too.  Old windows
+        # all precede the newcomer's first check, a full T away; only a second
+        # proof of life or summary of one (a partition can run it) read them.
         self.nodes[new_id] = member
+        for windows in (self.handled_window, self.answered_window, self.summary_seen):
+            windows.pop(new_id, None)
         self.online.add(new_id)
         self.offline.discard(new_id)
         self.last_proof_us[new_id] = self.now_us
@@ -1135,10 +1139,7 @@ class _Engine:
             if decision.reason == "expired membership":
                 self.offline.remove(node)
                 # The returning user must be re-inserted as a new member.
-                self._push(self.now_us + HOP_US, "expired_rejoin", ())
-
-    def _on_expired_rejoin(self) -> None:
-        self._start_insertion()
+                self._push(self.now_us + HOP_US, "start_insertion", (None, None, None))
 
     # -- scripted deletion ---------------------------------------------------
 

@@ -387,6 +387,28 @@ def test_the_engine_moves_a_returning_node_between_its_sets(
     assert 3 in eng.nodes
 
 
+def test_a_newcomer_on_a_reused_id_starts_with_no_windows():
+    # Node 3 takes part in the first proofs of life, is deleted, and its id
+    # is given to a newcomer, which must not inherit the old node's windows.
+    script = (
+        ScriptedOp(time=10.0, op="delete", node=3),
+        ScriptedOp(time=11.0, op="insert", node=3, author=0),
+    )
+    eng = _Engine(no_churn_cfg(duration=12.0, script=script))
+    tables = (eng.handled_window, eng.answered_window, eng.summary_seen)
+    spawned = []
+
+    def checked_spawn(auth, outcome, new_id, spawn=eng._spawn_member):
+        before = [new_id in table for table in tables]
+        spawn(auth, outcome, new_id)
+        spawned.append((new_id, before, [new_id in table for table in tables]))
+
+    eng._spawn_member = checked_spawn
+    eng.run()
+    assert spawned == [(3, [True, True, True], [False, False, False])]
+    assert eng.nodes[3].stage == eng.nodes[0].stage == 2 and 3 in eng.online
+
+
 def test_admission_denial_blocks_every_insertion():
     cfg = no_churn_cfg(
         churn=ChurnConfig(0.5, 0.0, 0.0), duration=40.0, admission_deny_prob=1.0
@@ -622,6 +644,61 @@ def test_waypoint_step_matches_a_replace_based_reference(states, seed, now, dt):
     expected = {v: replace_step(positions[v], GEO, ref_rng, dt, now) for v in sorted(positions)}
     assert out == expected
     assert rng.getstate() == ref_rng.getstate()
+
+
+def test_golden_digest_of_the_final_positions():
+    # Frozen final waypoint state of every positioned node at the benchmark's
+    # geometry.  The trace digests see a position only through the links it
+    # makes, so a drift in the last bits of a coordinate would pass them.
+    cfg = ScenarioConfig(
+        n_initial=40, m=80, T=10.0, l=20, duration=100.0, seed=1,
+        churn=ChurnConfig(0.1, 0.1, 0.1), connectivity=GEO,
+    )
+    eng = _Engine(cfg)
+    result = eng.run()
+    assert result.trace_text().count("Insertion of Node") == 7
+    text = "".join(
+        repr((v, p.x, p.y, p.dest_x, p.dest_y, p.speed, p.pause_until)) + "\n"
+        for v, p in sorted(eng.positions.items())
+    )
+    assert len(eng.positions) == 44
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb4a6df5c1a5897780c037e533b5cebb9e212343b31fc063e1b3f79653f1c7e4"
+    )
+
+
+def test_no_step_edits_a_state_in_place():
+    # States are immutable by convention only: every step and every spawn must
+    # hand out new objects or share old ones, never write to one.
+    cfg = ScenarioConfig(
+        n_initial=12, m=24, T=5.0, l=5, duration=40.0, seed=1,
+        churn=ChurnConfig(0.3, 0.1, 0.1), connectivity=GEO,
+    )
+    eng = _Engine(cfg)
+    seen: dict[int, tuple] = {}
+    shared = []
+
+    def fields(p):
+        return (p.x, p.y, p.dest_x, p.dest_y, p.speed, p.pause_until)
+
+    def check():
+        for obj, before in seen.values():
+            assert fields(obj) == before
+        # Objects stay referenced here, so no id is reused while checked.
+        for p in eng.positions.values():
+            seen.setdefault(id(p), (p, fields(p)))
+        shared.append(len(eng.positions) - len({id(p) for p in eng.positions.values()}))
+
+    def checked_move(tick, move=eng._on_move):
+        check()
+        move(tick)
+
+    eng._on_move = checked_move
+    eng.run()
+    check()
+    assert "Insertion of Node" in "".join(e.description for e in eng.trace)
+    assert max(shared) >= 1, "no newcomer shared its author's state"
+    assert len(shared) == 81
 
 
 # ---------------------------------------------------------------------------
