@@ -97,10 +97,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    for flag, count in (("--rounds", args.rounds), ("--trials", args.trials)):
+        if count < 1:
+            print(f"error: {flag} must be at least 1, got {count}", file=sys.stderr)
+            return 1
     rng = Random(args.seed)
     try:
-        if args.rounds < 1:
-            raise GraphError("invalid initialization parameters")
         graph, cycle = build_initial_graph(args.nodes, args.edges, rng)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,10 @@ either changes a broadcast is a lookup.  Traffic is accounted per delivery:
 each node forwards a broadcast at most once and every copy a receiver hears
 is counted at the message's encoded size plus a fixed header.  A broadcast
 then reaches its recipients as one delivery event, handled in recipient id
-order.  A membership step due while a membership update is still on the air
-waits until that update has landed.  Whether a member is on-line, off-line
-or deleted is the engine's alone to track; replicas never hold it.
+order.  A membership step (an insertion's start or close, a proof of life's
+close, a re-entry) due while a membership update is still on the air waits
+until that update has landed.  Whether a member is on-line, off-line or
+deleted is the engine's alone to track; replicas never hold it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from random import Random
 from typing import Optional, Union
@@ -87,6 +88,10 @@ ANSWER_LATENCY_US = 300_000
 COLLECT_CLOSE_US = ANSWER_LATENCY_US + 3 * HOP_US
 #: Mobility update step.
 MOVE_DT_US = 500_000
+#: Event kinds that wait while a membership update is on the air (``_act``).
+#: Each reads a replica the update may not have reached yet: an author that
+#: has not heard the last insertion proposes that insertion's id again.
+_MEMBERSHIP_STEPS = frozenset({"start_insertion", "pol_close", "ack_close", "reentry"})
 
 
 class ScenarioError(ValueError):
@@ -228,49 +233,21 @@ class ScenarioConfig:
                 raise ScenarioError("invalid scenario: scripted node ids must be 32-bit unsigned integers")
 
     def to_json(self) -> str:
-        doc = {
-            "n_initial": self.n_initial,
-            "m": self.m,
-            "T": self.T,
-            "l": self.l,
-            "duration": self.duration,
-            "seed": self.seed,
-            "churn": {
-                "insertion_request": self.churn.insertion_request,
-                "node_turn_off": self.churn.node_turn_off,
-                "node_turn_on": self.churn.node_turn_on,
-            },
-            "termination_threshold": self.termination_threshold,
-            "admission_deny_prob": self.admission_deny_prob,
-        }
+        doc = asdict(self)
         if isinstance(self.connectivity, GeometricConfig):
-            doc["connectivity"] = {
-                "mode": "geometric",
-                "area_side": self.connectivity.area_side,
-                "speed_max": self.connectivity.speed_max,
-                "pause": self.connectivity.pause,
-                "data_range": self.connectivity.data_range,
-                "secure_range": self.connectivity.secure_range,
-            }
+            doc["connectivity"] = {"mode": "geometric", **doc["connectivity"]}
         else:
             doc["connectivity"] = {"mode": "full_mesh"}
-        if self.initial_cycle is not None:
-            doc["initial_cycle"] = list(self.initial_cycle)
+        if self.initial_cycle is None:
+            del doc["initial_cycle"]
         if self.script:
+            # An op names only the fields it sets: no None, no empty neighbors.
             doc["script"] = [
-                {
-                    k: v
-                    for k, v in (
-                        ("time", op.time),
-                        ("op", op.op),
-                        ("node", op.node),
-                        ("neighbors", list(op.neighbors) if op.neighbors else None),
-                        ("author", op.author),
-                    )
-                    if v is not None
-                }
-                for op in self.script
+                {k: v for k, v in op.items() if v is not None and (k != "neighbors" or v)}
+                for op in doc["script"]
             ]
+        else:
+            del doc["script"]
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -290,45 +267,31 @@ class ScenarioConfig:
             raise ScenarioError("invalid scenario: script must be a list of objects")
         try:
             churn = ChurnConfig(**churn_doc)
-            if conn_doc.get("mode") == "geometric":
-                connectivity: Union[str, GeometricConfig] = GeometricConfig(
-                    area_side=conn_doc["area_side"],
-                    speed_max=conn_doc["speed_max"],
-                    pause=conn_doc["pause"],
-                    data_range=conn_doc["data_range"],
-                    secure_range=conn_doc["secure_range"],
-                )
-            else:
-                connectivity = conn_doc.get("mode", "full_mesh")
+            connectivity = conn_doc.get("mode", "full_mesh")
+            if connectivity == "geometric":
+                connectivity = GeometricConfig(**_fields_of(GeometricConfig, conn_doc))
             script = tuple(
-                ScriptedOp(
-                    time=entry["time"],
-                    op=entry["op"],
-                    node=entry.get("node"),
-                    neighbors=tuple(entry["neighbors"]) if entry.get("neighbors") else None,
-                    author=entry.get("author"),
-                )
+                ScriptedOp(**{**_fields_of(ScriptedOp, entry), "neighbors": _ids(entry.get("neighbors"))})
                 for entry in script_doc
             )
-            initial_cycle = tuple(doc["initial_cycle"]) if doc.get("initial_cycle") else None
-            cfg = cls(
-                n_initial=doc["n_initial"],
-                m=doc["m"],
-                T=doc["T"],
-                l=doc["l"],
-                duration=doc["duration"],
-                seed=doc["seed"],
-                churn=churn,
-                connectivity=connectivity,
-                termination_threshold=doc.get("termination_threshold", 3),
-                admission_deny_prob=doc.get("admission_deny_prob", 0.0),
-                initial_cycle=initial_cycle,
-                script=script,
-            )
+            parsed = dict(churn=churn, connectivity=connectivity, script=script,
+                          initial_cycle=_ids(doc.get("initial_cycle")))
+            cfg = cls(**{**_fields_of(cls, doc), **parsed})
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"invalid scenario: {exc}") from exc
         cfg.validate()
         return cfg
+
+
+def _fields_of(kind, doc: dict) -> dict:
+    """The values ``doc`` gives the fields of the dataclass ``kind``: other keys
+    are ignored, and a field with no default that ``doc`` lacks raises KeyError."""
+    return {f.name: doc[f.name] for f in fields(kind) if f.name in doc or f.default is MISSING}
+
+
+def _ids(value) -> Optional[tuple]:
+    # A missing or empty id list in a scenario file means none.
+    return tuple(value) if value else None
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +570,7 @@ class _Engine:
         self.last_summary_alive: frozenset[NodeId] = frozenset()
         self.pending_pol: dict[NodeId, _PolWindow] = {}
         self.pending_insert: Optional[_Insertion] = None
-        # When the last membership update on the air lands (see ``_defer``).
+        # When the last membership update on the air lands (see ``_act``).
         self._update_lands_us = 0
         # Positions are replaced, never edited, so a new dict means a new
         # neighbor table (see ``_link_table``).
@@ -727,14 +690,17 @@ class _Engine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _defer(self, kind: str, payload: tuple) -> bool:
-        """Requeue a membership step to run just after the update on the air
-        lands.  Run now, it would splice, delete from or catch up on a replica
-        the update has not reached, and a newcomer would never hear it."""
-        if self.now_us >= self._update_lands_us:
-            return False
-        self._push(self._update_lands_us, kind, payload)
-        return True
+    def _act(self, kind: str, payload: tuple) -> None:
+        """Handle an event, unless it is a membership step and an update is on
+        the air: then requeue it for when the update lands.  Run now, it would
+        splice, delete from or catch up on a replica the update has not
+        reached, and a newcomer would never hear it.  The churn tick and the
+        script start insertions here directly, so a start keeps its order
+        against the turn-off and turn-on drawn in the same tick."""
+        if kind in _MEMBERSHIP_STEPS and self.now_us < self._update_lands_us:
+            self._push(self._update_lands_us, kind, payload)
+        else:
+            getattr(self, f"_on_{kind}")(*payload)
 
     def _schedule_pol_check(self, node: NodeId) -> None:
         t = self.last_proof_us[node] + _us(self.cfg.T) + _stagger_us(node)
@@ -749,7 +715,7 @@ class _Engine:
             if t_us > duration_us:
                 break
             self.now_us = t_us
-            getattr(self, f"_on_{kind}")(*payload)
+            self._act(kind, payload)
         outcome = "terminated" if self.terminated_at is not None else "completed"
         return ScenarioResult(self.trace, self.metrics, outcome, self.terminated_at)
 
@@ -764,7 +730,7 @@ class _Engine:
         self._queue_tick("churn", second + 1)
         churn = self.cfg.churn
         if self.rng.random() < churn.insertion_request:
-            self._start_insertion()
+            self._act("start_insertion", (None, None, None))
         if self.rng.random() < churn.node_turn_off:
             self._turn_off_random()
         if self.rng.random() < churn.node_turn_on:
@@ -773,7 +739,7 @@ class _Engine:
     def _on_script(self, index: int, op: ScriptedOp) -> None:
         if op.op == "insert":
             forced = frozenset(op.neighbors) if op.neighbors else None
-            self._start_insertion(forced_id=op.node, forced_neighbors=forced, author=op.author)
+            self._act("start_insertion", (op.node, forced, op.author))
         elif op.op == "delete":
             self._scripted_delete(op.node)
         elif op.op == "turn_off":
@@ -877,8 +843,6 @@ class _Engine:
             pending.answers[msg.sender] = msg
 
     def _on_pol_close(self, node: NodeId, window: int) -> None:
-        if self._defer("pol_close", (node, window)):
-            return
         pending = self.pending_pol.pop(node, None)
         if pending is None or node not in self.online:
             return
@@ -937,16 +901,12 @@ class _Engine:
 
     # -- insertion ---------------------------------------------------------
 
-    def _start_insertion(
+    def _on_start_insertion(
         self,
-        forced_id: Optional[NodeId] = None,
-        forced_neighbors: Optional[frozenset[NodeId]] = None,
-        author: Optional[NodeId] = None,
+        forced_id: Optional[NodeId],
+        forced_neighbors: Optional[frozenset[NodeId]],
+        author: Optional[NodeId],
     ) -> None:
-        # The author proposes an id from its replica, so one that has not yet
-        # heard the last insertion would propose that insertion's id again.
-        if self._defer("start_insertion", (forced_id, forced_neighbors, author)):
-            return
         online = sorted(self.online)
         if not online or self.pending_insert is not None:
             return  # first announce wins; overlapping requests abort
@@ -965,8 +925,6 @@ class _Engine:
         self.pending_insert = _Insertion(auth_id, proposed, forced_id, forced_neighbors)
         self._broadcast(announce, auth_id)
         self._push(self.now_us + COLLECT_CLOSE_US, "ack_close", (auth_id,))
-
-    _on_start_insertion = _start_insertion
 
     def _handle_insertion_announce(self, state: NodeState, msg: InsertionAnnounce) -> None:
         if detect_sybil(state, (msg,)):
@@ -990,8 +948,6 @@ class _Engine:
             pending.acks.add(msg.sender)
 
     def _on_ack_close(self, author_id: NodeId) -> None:
-        if self._defer("ack_close", (author_id,)):
-            return
         pending, self.pending_insert = self.pending_insert, None
         if pending is None or pending.author != author_id:
             return
@@ -1100,8 +1056,6 @@ class _Engine:
             self._push(self.now_us + 2 * HOP_US + _stagger_us(node), "reentry", (node,))
 
     def _on_reentry(self, node: NodeId) -> None:
-        if self._defer("reentry", (node,)):
-            return
         if node not in self.offline:
             return
         state = self.nodes[node]

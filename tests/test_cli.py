@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -139,6 +140,16 @@ def test_prove_rejects_bad_parameters(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", 0), ("--trials", -3), ("--rounds", 0)])
+def test_prove_rejects_a_count_below_one_before_any_proof(capsys, flag, value):
+    counts = {"--rounds": 5, "--trials": 10, flag: value}
+    argv = ["prove", "--nodes", 11, "--edges", 22, "--seed", 4, "--cheat"]
+    assert run_cli(*argv, *itertools.chain.from_iterable(counts.items())) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {flag} must be at least 1, got {value}\n"
+
+
 # ---------------------------------------------------------------------------
 # trace-check
 # ---------------------------------------------------------------------------
@@ -185,6 +196,9 @@ def test_gen_scenario_emits_loadable_sweep(tmp_path):
     assert run_cli("gen-scenario", "--preset", "paperV", "--out", out) == 0
     files = sorted(out.glob("*.json"))
     assert len(files) == 4 * 3 * 4  # nodes x churn x (full mesh + 3 areas)
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert ScenarioConfig.from_json(text).to_json() == text, path.name
     sample = ScenarioConfig.from_json(files[0].read_text(encoding="utf-8"))
     assert sample.n_initial in (15, 30, 50, 100)
     names = " ".join(f.name for f in files)

@@ -59,6 +59,22 @@ def test_config_json_round_trip():
     assert ScenarioConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_zero_valued_fields_survive_a_json_round_trip():
+    # Zero is a value, not an absent field: time 0.0, node 0 and author 0
+    # must come back, as must the initial cycle and the neighbor group.
+    cfg = no_churn_cfg(
+        seed=0,
+        initial_cycle=(3, 1, 4, 0, 5, 2, 6, 7),
+        script=(
+            ScriptedOp(time=0.0, op="insert", node=0, neighbors=(0, 1), author=0),
+            ScriptedOp(time=2.0, op="delete", node=0),
+        ),
+    )
+    text = cfg.to_json()
+    assert ScenarioConfig.from_json(text) == cfg
+    assert ScenarioConfig.from_json(text).to_json() == text
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -533,6 +549,44 @@ def test_golden_digest_over_a_grid_of_churny_scenarios():
     assert total.hexdigest() == "3f277486e0f6f78787c8525f147df8a4e91b870be7b94efec39943365f080d75"
 
 
+def test_golden_digest_over_scripted_scenarios():
+    # Frozen over 20 scenarios with light churn and scripted insertions,
+    # deletions, turn-offs and turn-ons, hashed like the grid above.  Those
+    # with an even seed start a second insertion 0.3035 s after the first,
+    # inside the hop of its broadcast, so that start waits for it to land.
+    def scripted(n, seed):
+        t = 3.0 + seed
+        ops = (
+            ScriptedOp(t, "insert", author=seed),
+            ScriptedOp(t + 8.0, "turn_off", node=seed + 2),
+            ScriptedOp(t + 14.0, "delete", node=seed + 4),
+            ScriptedOp(t + 22.0, "turn_on", node=seed + 2),
+            ScriptedOp(t + 30.0, "insert", author=n - 1 - seed),
+        )
+        return ops + ((ScriptedOp(t + 0.3035, "insert", author=seed + 1),) if seed % 2 == 0 else ())
+
+    geometries = ["full_mesh", GeometricConfig(500.0, 20.0, 0.5, 250.0, 5.0)]
+    total = hashlib.sha256()
+    for connectivity, n, seed in itertools.product(geometries, (12, 16), range(5)):
+        cfg = ScenarioConfig(
+            n_initial=n, m=2 * n, T=5.0, l=5, duration=60.0, seed=seed,
+            churn=ChurnConfig(0.05, 0.05, 0.05), connectivity=connectivity,
+            script=scripted(n, seed),
+        )
+        engine = _Engine(cfg)
+        result = engine.run()
+        h = hashlib.sha256()
+        h.update(result.trace_text().encode("utf-8"))
+        h.update(result.metrics.to_json().encode("utf-8"))
+        for v in sorted(engine.nodes):
+            s = engine.nodes[v]
+            h.update(repr((v, membership(engine, v), s.stage, sorted(s.sybil_flags),
+                           sorted(s.online_view))).encode("utf-8"))
+            h.update(s.fingerprint())
+        total.update(h.digest())
+    assert total.hexdigest() == "3221c4fad94bc7ab0e143d621da76ab9e239d8ca91512d9b9c7e1dd643487c78"
+
+
 # ---------------------------------------------------------------------------
 # Traffic accounting
 # ---------------------------------------------------------------------------
@@ -975,6 +1029,21 @@ def test_an_insertion_started_while_the_last_one_is_on_the_air_flags_no_one():
     )
     engine = _Engine(cfg)
     engine.run()
+    assert all(not s.sybil_flags for s in engine.nodes.values())
+
+
+def test_a_scripted_insertion_started_inside_another_ones_hop_waits():
+    # Node 0's insertion of id 8 goes on the air at 1.303 s and lands at
+    # 1.304 s; Node 1's scripted start falls between.  Started at once, it
+    # proposed id 8 again, aborted, and every other replica flagged Node 1.
+    cfg = no_churn_cfg(script=(
+        ScriptedOp(time=1.0, op="insert", author=0),
+        ScriptedOp(time=1.3035, op="insert", author=1),
+    ))
+    engine = _Engine(cfg)
+    text = engine.run().trace_text()
+    assert "Insertion of Node 8 is broadcast by Node 0" in text
+    assert "Insertion of Node 9 is broadcast by Node 1" in text
     assert all(not s.sybil_flags for s in engine.nodes.values())
 
 
