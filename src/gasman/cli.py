@@ -84,8 +84,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    Path(args.trace).write_text(result.trace_text(), encoding="utf-8")
-    Path(args.metrics).write_text(result.metrics.to_json(), encoding="utf-8")
+    try:
+        Path(args.trace).write_text(result.trace_text(), encoding="utf-8")
+        Path(args.metrics).write_text(result.metrics.to_json(), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     if result.outcome == "terminated":
         print(f"life-cycle terminated at {result.terminated_at:.2f}s", file=sys.stderr)
         return 2
@@ -211,9 +215,7 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     if args.preset != "paperV":
         print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = 0
+    files: dict[str, str] = {}
     for n in PRESET_NODES:
         for churn in PRESET_CHURN:
             variants: list[tuple[str, object]] = [("fullmesh", "full_mesh")]
@@ -243,10 +245,16 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
                     termination_threshold=3,
                     admission_deny_prob=0.0,
                 )
-                name = f"n{n}_churn{int(churn * 100):02d}_{label}.json"
-                (out / name).write_text(cfg.to_json(), encoding="utf-8")
-                written += 1
-    print(f"wrote {written} scenario files to {out}")
+                files[f"n{n}_churn{int(churn * 100):02d}_{label}.json"] = cfg.to_json()
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write scenarios: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {len(files)} scenario files to {out}")
     return 0
 
 

@@ -23,9 +23,10 @@ Relabeling works by position.  A graph that is relabeled keeps a relabel
 table: each vertex's position in the sorted vertex list, the encoded vertex
 header and an ``itemgetter`` over the positions of every edge endpoint.  The
 ``image`` of a permutation of the vertex set is indexed by the same
-positions, so one call of the getter relabels every endpoint.
-``permute_graph`` builds the relabeled graph and its encoding, and
-``apply_permutation`` maps the cycle through the same positions.
+positions, so one call of the getter relabels every endpoint, and
+``relabel_encoding`` packs them into the relabeled graph's encoding without
+building that graph.  ``permute_graph`` decodes its edges from those bytes,
+and ``cycle_getter`` relabels a cycle through the same positions.
 """
 
 from __future__ import annotations
@@ -141,6 +142,15 @@ class Graph:
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", edges)
+        return g
+
+    @classmethod
+    def _decoded(cls, vertices: frozenset, encoding: bytes) -> "Graph":
+        """Build, unchecked, from the ``encode_graph`` bytes of a graph over ``vertices``."""
+        keys = encoding[9 + 4 * len(vertices):]  # past the version, both counts and the vertices
+        # A key ``u << 32 | v`` packs as the pair ``(u, v)``, smaller endpoint first.
+        g = cls._trusted(vertices, frozenset(struct.iter_unpack(">II", keys)))
+        object.__setattr__(g, "_encoding", encoding)
         return g
 
     @property
@@ -365,12 +375,12 @@ def _relabel_table(g: Graph) -> _RelabelTable:
     return table
 
 
-def permute_graph(g: Graph, p: Permutation) -> Graph:
-    """Relabel every vertex and edge endpoint of ``g`` through ``p``.
+def relabel_encoding(g: Graph, p: Permutation) -> bytes:
+    """``encode_graph(permute_graph(g, p))``, without building the relabeled graph.
 
-    The result carries its encoding.  A bijection keeps the vertex set, so
-    the encoding starts with ``g``'s vertex header.  Raises ``GraphError``
-    when an id of ``g`` or ``p`` has no encoding.
+    It starts with ``g``'s vertex header, since a bijection keeps the vertex set.
+    Raises ``PermutationDomainMismatch`` for ``p`` over another vertex set, and
+    ``GraphError`` when an id of ``g`` or ``p`` has no encoding.
     """
     if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
@@ -378,27 +388,37 @@ def permute_graph(g: Graph, p: Permutation) -> Graph:
     # The domain is sorted, so ``p.image[i]`` relabels the vertex at position ``i``.
     ends = iter(table.ends(p.image))
     try:
-        edges = [(u, v) if u < v else (v, u) for u, v in zip(ends, ends)]
-        keys = [u << 32 | v for u, v in edges]
+        keys = [u << 32 | v if u < v else v << 32 | u for u, v in zip(ends, ends)]
     except TypeError as exc:
         raise GraphError(f"node id out of encodable range: {exc}") from exc
+    return _graph_encoding(table.head, keys)
+
+
+def permute_graph(g: Graph, p: Permutation) -> Graph:
+    """Relabel ``g`` through ``p``: the graph decoded from :func:`relabel_encoding`'s bytes."""
     # A bijection of the vertex set cannot make a self-loop.
-    relabeled = Graph._trusted(g.vertices, frozenset(edges))
-    object.__setattr__(relabeled, "_encoding", _graph_encoding(table.head, keys))
-    return relabeled
+    return Graph._decoded(g.vertices, relabel_encoding(g, p))
+
+
+def cycle_getter(g: Graph, hc: HamiltonianCycle) -> Callable[[tuple], tuple]:
+    """A getter from the ``image`` of a permutation of ``g`` to ``hc``'s relabeled order.
+
+    Raises ``PermutationDomainMismatch`` when ``hc`` has a vertex outside ``g``.
+    """
+    position = _relabel_table(g).position
+    try:
+        at = [position[v] for v in hc.order]
+    except KeyError as exc:
+        raise PermutationDomainMismatch("permutation domain mismatch") from exc
+    # ``itemgetter`` returns one item bare and cannot be built over none.
+    return itemgetter(*at) if len(at) > 1 else lambda image: tuple(image[i] for i in at)
 
 
 def apply_permutation(
     g: Graph, hc: HamiltonianCycle, p: Permutation
 ) -> tuple[Graph, HamiltonianCycle]:
     """Build the isomorphic graph and the relabeled cycle, both canonical."""
-    relabeled = permute_graph(g, p)
-    position = _relabel_table(g).position
-    try:
-        order = tuple(map(p.image.__getitem__, map(position.__getitem__, hc.order)))
-    except KeyError as exc:
-        raise PermutationDomainMismatch("permutation domain mismatch") from exc
-    return relabeled, HamiltonianCycle(order)
+    return permute_graph(g, p), HamiltonianCycle(cycle_getter(g, hc)(p.image))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ one of the two questions, so each round halves its chance of slipping
 through; ``rounds`` independent repetitions push that to ``2**-rounds``.
 
 Commitments are SHA-256 digests of the canonical byte encodings, so they are
-bit-exact across processes and platforms.
+bit-exact across processes and platforms.  Both sides hash the relabeled
+graph's encoding from ``relabel_encoding``; the prover builds the graph from
+the committed bytes only when challenge 0 opens it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional, Protocol, Union
 
@@ -27,12 +30,12 @@ from .graph import (
     HamiltonianCycle,
     Permutation,
     PermutationDomainMismatch,
-    apply_permutation,
+    cycle_getter,
     encode_cycle,
     encode_graph,
     encode_permutation,
     is_hamiltonian_cycle,
-    permute_graph,
+    relabel_encoding,
 )
 
 DIGEST_SIZE = 32
@@ -63,8 +66,14 @@ class RoundSecret:
     """Prover-side state for one round; must never cross the wire."""
 
     permutation: Permutation
-    permuted_graph: Graph
     permuted_cycle: HamiltonianCycle
+    graph_encoding: bytes
+    vertices: frozenset
+
+    @cached_property
+    def permuted_graph(self) -> Graph:
+        """Decoded from the committed encoding on first access, when challenge 0 opens it."""
+        return Graph._decoded(self.vertices, self.graph_encoding)
 
 
 @dataclass(frozen=True)
@@ -87,12 +96,14 @@ Response = Union[RevealCycle, RevealPermutation]
 
 def commitment_for(g: Graph, hc: HamiltonianCycle, p: Permutation) -> tuple[RoundSecret, Commitment]:
     """Deterministic core of :func:`prover_commit` for a fixed permutation."""
-    permuted_graph, permuted_cycle = apply_permutation(g, hc, p)
-    com = Commitment(
-        digest(encode_graph(permuted_graph)),
-        digest(encode_cycle(permuted_cycle)),
-    )
-    return RoundSecret(p, permuted_graph, permuted_cycle), com
+    return _commit(g, p, relabel_encoding(g, p), cycle_getter(g, hc)(p.image))
+
+
+def _commit(g: Graph, p: Permutation, encoding: bytes, order: tuple) -> tuple[RoundSecret, Commitment]:
+    """Commit to the relabeled graph's ``encoding`` and the relabeled cycle ``order``."""
+    cycle = HamiltonianCycle(order)
+    com = Commitment(digest(encoding), digest(encode_cycle(cycle)))
+    return RoundSecret(p, cycle, encoding, g.vertices), com
 
 
 def prover_commit(
@@ -145,12 +156,12 @@ def verifier_check(
         if not isinstance(response, RevealPermutation):
             return False, "variant/challenge mismatch"
         try:
-            relabeled = permute_graph(public_graph, response.permutation)
+            encoding = relabel_encoding(public_graph, response.permutation)
         except PermutationDomainMismatch:
             return False, "permutation domain mismatch"
         except GraphError:
             return False, "unencodable response"
-        if digest(encode_graph(relabeled)) != com.graph_digest:
+        if digest(encoding) != com.graph_digest:
             return False, "digest mismatch"
         return True, None
     return False, "variant/challenge mismatch"
@@ -171,14 +182,16 @@ class HonestProver:
         if not is_hamiltonian_cycle(graph, cycle):
             raise ProofError("prover lacks valid cycle")
         self._graph = graph
-        self._cycle = cycle
+        self._relabel_cycle = cycle_getter(graph, cycle)  # the witness, kept by position
         self._rng = rng
         self._secret: Optional[RoundSecret] = None
 
     def next_commitment(self) -> Commitment:
         # The witness was checked once, in ``__init__``; graph and cycle are immutable.
-        p = Permutation.random(self._graph.vertices, self._rng)
-        self._secret, com = commitment_for(self._graph, self._cycle, p)
+        graph = self._graph
+        p = Permutation.random(graph.vertices, self._rng)
+        encoding = relabel_encoding(graph, p)
+        self._secret, com = _commit(graph, p, encoding, self._relabel_cycle(p.image))
         return com
 
     def answer(self, challenge: int) -> Response:
@@ -226,8 +239,7 @@ class OneBranchCheater:
         if self._guess == 0:
             return self._fake_com
         self._permutation = Permutation.random(self._public.vertices, self._rng)
-        relabeled = permute_graph(self._public, self._permutation)
-        return Commitment(digest(encode_graph(relabeled)), bytes(DIGEST_SIZE))
+        return Commitment(digest(relabel_encoding(self._public, self._permutation)), bytes(DIGEST_SIZE))
 
     def answer(self, challenge: int) -> Response:
         if challenge == 0:

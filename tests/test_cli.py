@@ -103,6 +103,17 @@ def test_run_missing_scenario_exits_one(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("bad", ["trace", "metrics"])
+def test_run_reports_an_unwritable_output_and_exits_one(tmp_path, capsys, bad):
+    scenario = write_scenario(tmp_path)
+    paths = {"trace": tmp_path / "t.tsv", "metrics": tmp_path / "m.json"}
+    paths[bad] = tmp_path  # a directory cannot be written as a file
+    code = run_cli("run", "--scenario", scenario,
+                   "--trace", paths["trace"], "--metrics", paths["metrics"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
 def test_run_terminated_life_cycle_exits_two(tmp_path):
     scenario = write_scenario(
         tmp_path, churn=ChurnConfig(0.0, 0.9, 0.0), duration=60.0
@@ -208,6 +219,15 @@ def test_gen_scenario_emits_loadable_sweep(tmp_path):
 def test_gen_scenario_unknown_preset(tmp_path, capsys):
     assert run_cli("gen-scenario", "--preset", "bogus", "--out", tmp_path) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_scenario_reports_an_unwritable_directory_and_exits_one(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    for out in (taken, taken / "sweep"):
+        assert run_cli("gen-scenario", "--preset", "paperV", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write scenarios: ")
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from gasman.graph import (
     locate_insertion_pair,
     neighbor_set_for_insert,
     permute_graph,
+    relabel_encoding,
     splice_delete,
     splice_insert,
 )
@@ -174,6 +175,22 @@ def test_inverse_permutation_round_trips(n, seed):
     g2, hc2 = apply_permutation(g, hc, p)
     g3, hc3 = apply_permutation(g2, hc2, p.inverse())
     assert g3 == g and hc3 == hc
+
+
+@pytest.mark.parametrize("order", [(), (5,), (5, 9)])
+def test_a_cycle_too_short_to_be_hamiltonian_still_relabels(order):
+    g = Graph(frozenset(order), frozenset({tuple(order)} if len(order) == 2 else ()))
+    p = Permutation(tuple(sorted(order)), tuple(sorted(order, reverse=True)))
+    mapping = dict(zip(p.domain, p.image))
+    g2, hc2 = apply_permutation(g, HamiltonianCycle(order), p)
+    assert g2 == g
+    assert hc2 == HamiltonianCycle(tuple(mapping[v] for v in order))
+
+
+def test_a_cycle_vertex_outside_the_graph_is_a_domain_mismatch():
+    g = triangle()
+    with pytest.raises(PermutationDomainMismatch):
+        apply_permutation(g, HamiltonianCycle((0, 1, 3)), Permutation.identity(g.vertices))
 
 
 def test_domain_mismatch_is_an_error():
@@ -645,6 +662,7 @@ def test_relabel_encoding_matches_a_reference(g, rng):
     # The second relabel reads the table the first one kept on ``g``.
     assert g._relabel is not None
     assert encode_graph(permute_graph(g, p)) == encoding
+    assert relabel_encoding(g, p) == encoding
 
 
 def relabel_outcome(relabel, g, p):
@@ -688,8 +706,10 @@ HOSTILE_RELABELS = [
 @pytest.mark.parametrize("g, p, expected", HOSTILE_RELABELS)
 def test_relabel_raises_on_a_hostile_input(g, p, expected):
     assert relabel_outcome(permute_graph, g, p) is expected
+    assert relabel_outcome(relabel_encoding, g, p) is expected
     if expected is None:
         assert encode_graph(permute_graph(g, p)) == reference_relabel_encoding(g, p)
+        assert relabel_encoding(g, p) == reference_relabel_encoding(g, p)
 
 
 @settings(max_examples=200, deadline=None)

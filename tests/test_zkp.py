@@ -1,14 +1,15 @@
 """Interactive proof: completeness, soundness, hiding, hostile-input totality."""
 
 import hashlib
+import struct
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasman.graph import (
+    ENCODING_VERSION,
     Graph,
-    GraphError,
     HamiltonianCycle,
     Permutation,
     apply_permutation,
@@ -16,7 +17,6 @@ from gasman.graph import (
     encode_cycle,
     encode_graph,
     is_hamiltonian_cycle,
-    permute_graph,
 )
 from gasman.zkp import (
     Commitment,
@@ -169,12 +169,44 @@ def test_honest_prover_commits_as_prover_commit_does():
     g, hc = build_initial_graph(32, 64, Random(3))
     prover = HonestProver(g, hc, Random(8))
     reference = Random(8)
-    for _ in range(20):
+    for challenge in (1, 0) * 20:
         com = prover.next_commitment()
         secret, expected = prover_commit(g, hc, reference)
         assert com == expected
-        assert prover.answer(1).permutation == secret.permutation
+        if challenge == 1:
+            assert prover.answer(1).permutation == secret.permutation
+        else:
+            opened = prover.answer(0)
+            assert opened == prover_respond(secret, 0)
+            assert encode_graph(opened.permuted_graph) == encode_graph(secret.permuted_graph)
     assert prover._rng.getstate() == reference.getstate()
+
+
+def test_the_relabeled_graph_is_built_only_when_challenge_zero_opens_it(monkeypatch):
+    g, hc = build_initial_graph(32, 64, Random(3))
+    prover = HonestProver(g, hc, Random(8))
+    built = []
+    trusted = Graph._trusted.__func__
+    monkeypatch.setattr(Graph, "_trusted", classmethod(
+        lambda cls, *args: built.append(args) or trusted(cls, *args)))
+    for challenge in (1, 0, 1, 1, 0):
+        com = prover.next_commitment()
+        secret = prover._secret
+        assert "permuted_graph" not in vars(secret)  # decoded only on first access
+        response = prover.answer(challenge)
+        assert verifier_check(g, com, challenge, response) == (True, None)
+        if challenge == 1:
+            # Neither the commitment nor its check built a relabeled edge set.
+            assert "permuted_graph" not in vars(secret)
+            assert built == []
+            continue
+        opened = response.permuted_graph
+        assert len(built) == 1 and opened is secret.permuted_graph
+        assert opened._encoding is secret.graph_encoding
+        assert digest(secret.graph_encoding) == com.graph_digest
+        assert is_hamiltonian_cycle(opened, response.permuted_cycle)
+        assert opened == apply_permutation(g, hc, secret.permutation)[0]
+        built.clear()  # the reference relabel built one more
 
 
 def test_respond_picks_the_matching_variant():
@@ -326,13 +358,17 @@ def test_verifier_is_total_on_unencodable_and_mismatched_responses(challenge, se
 
 
 def reference_check_one(public_graph, com, permutation):
-    """Challenge 1 checked through the relabeled graph itself."""
+    """Challenge 1 checked through a dict relabel and a tuple-sort encoding."""
     if frozenset(permutation.domain) != public_graph.vertices:
         return False, "permutation domain mismatch"
+    mapping = dict(zip(permutation.domain, permutation.image))
+    vertices = sorted(public_graph.vertices)
+    edges = sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in public_graph.edges)
     try:
-        relabeled = permute_graph(public_graph, permutation)
-        encoding = encode_graph(relabeled)
-    except GraphError:
+        encoding = (bytes([ENCODING_VERSION])
+                    + struct.pack(f">I{len(vertices)}I", len(vertices), *vertices)
+                    + struct.pack(f">I{2 * len(edges)}I", len(edges), *(x for e in edges for x in e)))
+    except struct.error:
         return False, "unencodable response"
     if digest(encoding) != com.graph_digest:
         return False, "digest mismatch"
@@ -357,7 +393,7 @@ def challenge_one_permutations(draw, secret, g):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(), st.data())
-def test_challenge_one_check_matches_a_permute_graph_reference(seed, data):
+def test_challenge_one_check_matches_an_independent_relabel_reference(seed, data):
     g, hc = small_instance()
     secret, com = prover_commit(g, hc, Random(seed))
     permutation = data.draw(challenge_one_permutations(secret, g))
