@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
     try:
@@ -145,12 +145,17 @@ def cmd_prove(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace_check(args: argparse.Namespace) -> int:
+    """Exit 0 if every non-blank line holds a time, an event and a cycle
+    snapshot, tab-separated; times finite and never decreasing, as the engine
+    writes them; each snapshot empty or distinct ids one splice from the last
+    snapshot.  Else print ``error: ...`` and exit 1."""
     try:
         lines = Path(args.path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 1
     previous: Optional[HamiltonianCycle] = None
+    last_time = -math.inf
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -162,10 +167,13 @@ def cmd_trace_check(args: argparse.Namespace) -> int:
             return 1
         time_text, _, hc_text = parts
         try:
-            float(time_text)
+            time = float(time_text)
         except ValueError:
-            print(f"error: line {number}: bad time {time_text!r}", file=sys.stderr)
+            time = math.nan
+        if not math.isfinite(time) or time < last_time:
+            print(f"error: line {number}: bad or decreasing time {time_text!r}", file=sys.stderr)
             return 1
+        last_time = time
         if not hc_text.strip():
             continue
         try:

@@ -434,6 +434,15 @@ def build_initial_graph(n: int, m: int, rng: Random) -> tuple[Graph, Hamiltonian
     union never exceeds ``m`` edges.  Exact ``2m/n``-regularity is not always
     reachable; the guarantees are: the cycle is contained, minimum degree is
     at least 2, and ``n <= |E| <= m``.
+
+    What this protects: the access proof accepts *any* Hamiltonian cycle of
+    the graph, and the graph travels in the clear (``GraphTransfer``,
+    ``AccessRequest``).  Hamiltonicity is hard only in the worst case; a
+    planted cycle plus random edges at average degree ``2m/n`` is not one.
+    Pósa rotation-extension search (``tests/cycle_solver.py``) finds an
+    accepted cycle in 1-2 ms at n = 128 and in 40-90 ms at n = 1000.  So the
+    scheme keeps out an outsider that never heard the graph, not one that
+    overheard it.
     """
     if n < 4 or m < n or (2 * m) % n != 0 or (2 * m) // n < 2:
         raise InvalidParameters("invalid initialization parameters")
@@ -464,9 +473,10 @@ def complete_edges_from_cycle(
         degree[u] += 1
         degree[v] += 1
 
-    for i in sorted(order):
+    vertices = sorted(order)
+    for i in vertices:
         while degree[i] < group_size:
-            partner = _draw_partner(i, degree, group_size, edges, sorted(order), rng)
+            partner = _draw_partner(i, degree, group_size, edges, vertices, rng)
             if partner is None:
                 break
             edges.add(_norm_edge(i, partner))

@@ -2,10 +2,10 @@
 life, deletion, and the Sybil checks that guard them.
 
 Each node keeps a replica of the shared instance plus a bounded FIFO of
-recent update records.  All mutation goes through the handlers here, one at a
-time per node; replicas that apply the same record stream end up with
-byte-identical canonical state, which is the property everything else leans
-on.
+recent update records.  One rule, :func:`apply_update_record`, applies every
+record, live or in catch-up replay, one at a time per node; replicas that
+apply the same record stream end up with byte-identical canonical state,
+which is the property everything else leans on.
 """
 
 from __future__ import annotations
@@ -368,21 +368,24 @@ def prune_fifo(state: NodeState, now: float, cfg: ProtocolConfig) -> None:
 
 def apply_update_record(state: NodeState, rec: UpdateRecord, cfg: ProtocolConfig) -> None:
     """Apply one record to a replica; the single mutation path for the
-    shared instance, used identically by live handlers and catch-up replay."""
-    if isinstance(rec, InsertionRecord):
+    shared instance, used identically by live handlers and catch-up replay.
+
+    An insertion or deletion must carry the next stage, and splices to it.  A
+    proof-of-life record of the current stage re-stamps that stage: a
+    witnessed summary confirms it is live, so a member leaving now is measured
+    stale from then.  Every record joins the FIFO, pruned at its time.
+    """
+    if not isinstance(rec, PolRecord):
         if rec.stage != state.stage + 1:
             raise ProtocolError(f"update out of order: have stage {state.stage}, got {rec.stage}")
-        state.graph, state.cycle = splice_insert(state.graph, state.cycle, rec.node, rec.neighbors)
+        if isinstance(rec, InsertionRecord):
+            state.graph, state.cycle = splice_insert(state.graph, state.cycle, rec.node, rec.neighbors)
+            state.online_view |= {rec.node, rec.author}
+        else:
+            state.graph, state.cycle = splice_delete(state.graph, state.cycle, rec.node)
+            state.online_view.discard(rec.node)
         state.stage = rec.stage
-        state.online_view.add(rec.node)
-        state.online_view.add(rec.author)
-        state.stage_history[rec.stage] = (graph_digest(state.graph), rec.timestamp)
-    elif isinstance(rec, DeletionRecord):
-        if rec.stage != state.stage + 1:
-            raise ProtocolError(f"update out of order: have stage {state.stage}, got {rec.stage}")
-        state.graph, state.cycle = splice_delete(state.graph, state.cycle, rec.node)
-        state.stage = rec.stage
-        state.online_view.discard(rec.node)
+    if rec.stage == state.stage:
         state.stage_history[rec.stage] = (graph_digest(state.graph), rec.timestamp)
     state.fifo.append(rec)
     prune_fifo(state, rec.timestamp, cfg)
@@ -541,18 +544,14 @@ def access_control(
 
 
 def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) -> None:
-    """Replay a grant's records onto a returning replica, which then lists
-    itself on-line in its own view and puts its FIFO back in time order,
-    pruned at the grant's send time."""
+    """Replay a grant's records through :func:`apply_update_record`, adding
+    each witnessed living set to the on-line view; the replica then lists
+    itself on-line and puts its FIFO back in time order, pruned at the
+    grant's send time."""
     for rec in grant.records:
+        apply_update_record(state, rec, cfg)
         if isinstance(rec, PolRecord):
-            state.fifo.append(rec)
             state.online_view |= rec.alive
-            if rec.stage == state.stage and state.stage in state.stage_history:
-                stage_digest, _ = state.stage_history[state.stage]
-                state.stage_history[state.stage] = (stage_digest, rec.timestamp)
-        else:
-            apply_update_record(state, rec, cfg)
     if state.stage != grant.current_stage:
         raise ProtocolError(
             f"catch-up incomplete: reached stage {state.stage}, expected {grant.current_stage}"
@@ -641,29 +640,18 @@ def apply_deletion_update(
 ) -> list[NodeId]:
     """Apply a witnessed summary: record it, then splice out its deletions.
 
-    The deletion list travels in the summary so that every replica applies
-    the identical set, including members who joined mid-window and hold no
-    earlier records.  Returns the ids actually removed.  A shrink below a
-    valid cycle raises ``BelowMinimumOrder``; callers run the termination
-    check.
+    The summary is a proof-of-life record of the current stage; its living
+    set and sender become the on-line view.  The deletion list travels in the
+    summary so that every replica applies the identical set, including
+    members who joined mid-window and hold no earlier records.  Returns the
+    ids actually removed.  A shrink below a valid cycle raises
+    ``BelowMinimumOrder``; callers run the termination check.
     """
-    state.fifo.append(
-        PolRecord(state.stage, summary.alive, summary.sender, now)
-    )
-    # Each witnessed summary confirms the current stage is still live, so a
-    # member leaving now is measured stale from this confirmation, not from
-    # however long ago the stage was first reached.
-    stage_digest, _ = state.stage_history[state.stage]
-    state.stage_history[state.stage] = (stage_digest, now)
+    apply_update_record(state, PolRecord(state.stage, summary.alive, summary.sender, now), cfg)
     state.online_view = set(summary.alive) | {summary.sender}
-    removed: list[NodeId] = []
-    for victim in sorted(summary.deletions):
-        if victim not in state.graph.vertices:
-            continue
-        record = DeletionRecord(state.stage + 1, victim, summary.sender, now)
-        apply_update_record(state, record, cfg)
-        removed.append(victim)
-    prune_fifo(state, now, cfg)
+    removed = sorted(summary.deletions & state.graph.vertices)
+    for victim in removed:
+        apply_update_record(state, DeletionRecord(state.stage + 1, victim, summary.sender, now), cfg)
     return removed
 
 

@@ -254,7 +254,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ScenarioError(f"invalid scenario: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("invalid scenario: top level must be an object")
@@ -563,7 +563,7 @@ class _Engine:
         self.last_proof_us: dict[NodeId, int] = {v: 0 for v in self.nodes}
         self.handled_window: dict[NodeId, int] = {}
         self.answered_window: dict[NodeId, int] = {}
-        self.summary_seen: dict[NodeId, set[int]] = {}
+        self.summary_window: dict[NodeId, int] = {}
         self.awaiting_reentry: set[NodeId] = set()
         self.turn_off_us: dict[NodeId, int] = {}
         self.last_summary_us: int = -1
@@ -732,9 +732,9 @@ class _Engine:
         if self.rng.random() < churn.insertion_request:
             self._act("start_insertion", (None, None, None))
         if self.rng.random() < churn.node_turn_off:
-            self._turn_off_random()
+            self._turn_off(self._draw(self.online))
         if self.rng.random() < churn.node_turn_on:
-            self._turn_on_random()
+            self._turn_on(self._draw(self.offline - self.awaiting_reentry))
 
     def _on_script(self, index: int, op: ScriptedOp) -> None:
         if op.op == "insert":
@@ -871,7 +871,11 @@ class _Engine:
         self._schedule_reentries()
 
     def _handle_pol_summary(self, state: NodeState, msg: PolSummary) -> None:
-        if msg.window in self.summary_seen.setdefault(state.id, set()):
+        # A summary of window w leaves after w*T plus the answer collection, so
+        # a replica hears windows in order and a repeat is of its highest one.  A
+        # scripted deletion, labelled when the script fires, can land before the
+        # late close of the window below, and that summary is no repeat.
+        if msg.window == self.summary_window.get(state.id):
             return
         self._apply_summary(state, msg, traced=False)
 
@@ -885,7 +889,7 @@ class _Engine:
             self.terminated_at = self.now_s
             self._trace("Network terminated: graph below minimum order")
             return
-        self.summary_seen.setdefault(state.id, set()).add(summary.window)
+        self.summary_window[state.id] = max(self.summary_window.get(state.id, -1), summary.window)
         snapshot = before
         for victim in removed:
             self.online.discard(victim)
@@ -907,13 +911,9 @@ class _Engine:
         forced_neighbors: Optional[frozenset[NodeId]],
         author: Optional[NodeId],
     ) -> None:
-        online = sorted(self.online)
-        if not online or self.pending_insert is not None:
+        if not self.online or self.pending_insert is not None:
             return  # first announce wins; overlapping requests abort
-        if author is not None and author in self.online:
-            auth_id = author
-        else:
-            auth_id = online[self.rng.randrange(len(online))]
+        auth_id = author if author in self.online else self._draw(self.online)
         if self.rng.random() < self.cfg.admission_deny_prob:
             self._trace(f"Node {auth_id} denies membership to a supplicant")
             return
@@ -1001,7 +1001,7 @@ class _Engine:
         # all precede the newcomer's first check, a full T away; only a second
         # proof of life or summary of one (a partition can run it) read them.
         self.nodes[new_id] = member
-        for windows in (self.handled_window, self.answered_window, self.summary_seen):
+        for windows in (self.handled_window, self.answered_window, self.summary_window):
             windows.pop(new_id, None)
         self.online.add(new_id)
         self.offline.discard(new_id)
@@ -1010,11 +1010,10 @@ class _Engine:
 
     # -- churn -------------------------------------------------------------
 
-    def _turn_off_random(self) -> None:
-        candidates = sorted(self.online)
-        if not candidates:
-            return
-        self._turn_off(candidates[self.rng.randrange(len(candidates))])
+    def _draw(self, nodes: set[NodeId]) -> Optional[NodeId]:
+        """A uniform pick from ``nodes`` in id order, or ``None`` from none."""
+        pool = sorted(nodes)
+        return pool[self.rng.randrange(len(pool))] if pool else None
 
     def _turn_off(self, node: Optional[NodeId]) -> None:
         if node not in self.online:
@@ -1024,12 +1023,6 @@ class _Engine:
         self.turn_off_us[node] = self.now_us
         self._trace(f"Node {node} turns off")
         self._check_termination()
-
-    def _turn_on_random(self) -> None:
-        candidates = sorted(self.offline - self.awaiting_reentry)
-        if not candidates:
-            return
-        self._turn_on(candidates[self.rng.randrange(len(candidates))])
 
     def _turn_on(self, node: Optional[NodeId]) -> None:
         if node not in self.offline:
@@ -1059,15 +1052,11 @@ class _Engine:
         if node not in self.offline:
             return
         state = self.nodes[node]
-        online = sorted(self.online)
-        if not online:
+        verifier_id = self._draw(self.online)
+        if verifier_id is None or reachable(node, verifier_id, self.positions, self.cfg) is Reach.NONE:
             self.awaiting_reentry.add(node)
             return
-        verifier_id = online[self.rng.randrange(len(online))]
         verifier = self.nodes[verifier_id]
-        if reachable(node, verifier_id, self.positions, self.cfg) is Reach.NONE:
-            self.awaiting_reentry.add(node)
-            return
         self._trace(f"Node {node} reaches {verifier_id} and starts a ZKP for re-insertion")
         request = AccessRequest(
             sender=node, stage=state.stage, sent_at=self.now_s,

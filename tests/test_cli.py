@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gasman.cli import main
 from gasman.simulator import ChurnConfig, ScenarioConfig
@@ -186,6 +188,52 @@ def test_trace_check_rejects_malformed_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
     bad.write_text("whenever\tevent\t1,2,3\n", encoding="utf-8")
     assert run_cli("trace-check", bad) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nan\tstart\t\n", "0.00\tstart\t\ninf\tevent\t\n", "5.00\tstart\t\n5.00\tevent\t\n4.99\tevent\t\n"],
+    ids=["nan", "inf", "decrease"],
+)
+def test_trace_check_rejects_a_time_that_is_not_finite_or_goes_back(tmp_path, capsys, text):
+    bad = tmp_path / "times.tsv"
+    bad.write_text(text, encoding="utf-8")
+    assert run_cli("trace-check", bad) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {text.count(chr(10))}: ")
+
+
+def reader_commands(path, out_dir):
+    """Both commands that read a file named on the command line."""
+    return (
+        ("trace-check", path),
+        ("run", "--scenario", path, "--trace", out_dir / "t.tsv", "--metrics", out_dir / "m.json"),
+    )
+
+
+@pytest.mark.parametrize("data", [b"\xff", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+def test_every_file_reader_reports_an_unreadable_file(tmp_path, capsys, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    for command in reader_commands(path, tmp_path):
+        assert run_cli(*command) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+TRACE_LIKE = st.text(alphabet="0123456789.,-+\t\n naifeNA_", max_size=80).map(str.encode)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=80) | TRACE_LIKE)
+def test_every_file_reader_is_total(tmp_path, capsys, data):
+    # Any bytes at all: each reader accepts them or says why not, with no
+    # traceback; no file this short is a runnable scenario.
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    for command in reader_commands(path, tmp_path):
+        code = run_cli(*command)
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert err.startswith("error: ") if code else err == ""
 
 
 def test_trace_check_accepts_simulator_output(tmp_path):

@@ -3,6 +3,7 @@
 from random import Random
 
 import pytest
+from cycle_solver import SolvingProver, overheard_graph
 
 from gasman.graph import (
     Graph,
@@ -13,6 +14,7 @@ from gasman.graph import (
     neighbor_set_for_insert,
 )
 from gasman.protocol import (
+    AccessGrant,
     AccessRequest,
     Aborted,
     CycleTransfer,
@@ -27,6 +29,7 @@ from gasman.protocol import (
     PolAnswer,
     PolAbortedOutcome,
     PolCompleted,
+    PolRecord,
     ProtocolConfig,
     access_control,
     apply_catch_up,
@@ -231,6 +234,33 @@ def test_catch_up_reconverges_after_three_inserts_and_one_delete():
     assert supplicant.fingerprint() == verifier.fingerprint()
 
 
+def test_an_outsider_that_overheard_one_graph_transfer_is_granted():
+    # The public graph gives a cycle away.  An outsider that never held the
+    # secret hears the open-channel GraphTransfer of one insertion (n = 30,
+    # m = 60), solves that graph by rotation-extension (0.2-1.1 ms over five
+    # seeds at this size, 40-90 ms at n = 1000) and passes the access proof
+    # under the id of a member that fell silent.
+    cfg = ProtocolConfig(T=10.0, l=20)
+    nodes = make_network(n=30, m=60, seed=11)
+    verifier = nodes[0]
+    outcome = authenticator_insert(verifier, 29, Random(1), 1.0, cfg)
+    assert isinstance(outcome, InsertCommitted)
+    transfer = outcome.graph_transfer
+    heard = overheard_graph(transfer.payload_bytes())
+    assert (heard.vertices, heard.edges) == (transfer.graph.vertices, transfer.graph.edges)
+    alive = [v for v in range(1, 31) if v != 7]
+    done = proof_of_life_cycle(verifier, answers_from(alive, now=2.0), cfg, 2.0)
+    assert isinstance(done, PolCompleted)
+    apply_deletion_update(verifier, done.summary, cfg, 2.0)
+    assert 7 in verifier.graph.vertices and 7 not in verifier.online_view
+    outsider = SolvingProver(heard, Random(2), budget_s=1.0)
+    request = AccessRequest(
+        sender=1000, stage=transfer.stage, sent_at=3.0, claimed_id=7, claimed_graph=heard,
+    )
+    decision = access_control(verifier, request, outsider, cfg, Random(3), now=3.0)
+    assert isinstance(decision, Granted)
+
+
 def test_failed_proof_is_denied_and_flagged():
     nodes = make_network()
     supplicant = offline_copy(nodes, 5, when=0.0)
@@ -335,6 +365,24 @@ def test_summary_with_everyone_alive_changes_nothing_but_the_fifo():
     apply_deletion_update(nodes[1], done.summary, CFG, 150.0)
     assert nodes[1].fingerprint() == before
     assert len(nodes[1].fifo) == fifo_len + 1
+
+
+def test_a_summary_applied_live_or_in_catch_up_leaves_the_same_record():
+    # One record rule: a summary heard live and the same proof-of-life record
+    # replayed from a grant re-stamp the current stage and join the FIFO alike.
+    nodes = make_network()
+    drive_updates(nodes, skip=None, count=1, start_time=1.0, rng=Random(3))
+    live, caught_up = nodes[1], nodes[2]
+    assert live.stage_history == caught_up.stage_history and live.fifo == caught_up.fifo
+    done = proof_of_life_cycle(nodes[0], answers_from(range(1, 11), now=30.0), CFG, 30.0)
+    assert isinstance(done, PolCompleted)
+    assert apply_deletion_update(live, done.summary, CFG, 30.0) == []
+    record = PolRecord(caught_up.stage, done.summary.alive, done.summary.sender, 30.0)
+    grant = AccessGrant(sender=0, stage=1, sent_at=30.0, records=(record,), current_stage=1, window=0)
+    apply_catch_up(caught_up, grant, CFG)
+    assert live.stage_history == caught_up.stage_history
+    assert live.stage_history[1][1] == 30.0 and live.stage_history[0][1] == 0.0
+    assert live.fifo == caught_up.fifo and live.fifo[-1] == record
 
 
 def test_silent_node_is_deleted_and_replicas_converge():

@@ -411,7 +411,7 @@ def test_a_newcomer_on_a_reused_id_starts_with_no_windows():
         ScriptedOp(time=11.0, op="insert", node=3, author=0),
     )
     eng = _Engine(no_churn_cfg(duration=12.0, script=script))
-    tables = (eng.handled_window, eng.answered_window, eng.summary_seen)
+    tables = (eng.handled_window, eng.answered_window, eng.summary_window)
     spawned = []
 
     def checked_spawn(auth, outcome, new_id, spawn=eng._spawn_member):
@@ -447,6 +447,66 @@ def test_every_window_gets_at_most_one_summary():
     eng.run()
     windows = [m.window for m in air if isinstance(m, PolSummary)]
     assert len(windows) == len(set(windows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(8, 20),
+    T=st.integers(2, 10),
+    churn=st.tuples(*[st.integers(5, 50).map(lambda p: p / 100)] * 3),
+    connectivity=st.sampled_from([
+        "full_mesh", GEO,
+        GeometricConfig(300.0, 20.0, 0.5, 120.0, 200.0),  # secure range above data range
+        GeometricConfig(800.0, 20.0, 0.5, 250.0, 5.0),
+    ]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_each_replica_hears_summary_windows_in_order(n, T, churn, connectivity, seed):
+    # A summary of window w leaves no earlier than w*T plus the answer
+    # collection, so a replica never hears a window below the last it
+    # applied, and the engine keeps one window number per replica.
+    engine = _Engine(ScenarioConfig(
+        n_initial=n, m=2 * n, T=float(T), l=5, duration=60.0, seed=seed,
+        churn=ChurnConfig(*churn), connectivity=connectivity,
+    ))
+    handle = engine._handle_pol_summary
+
+    def checked_handle(state, msg):
+        applied = engine.summary_window.get(state.id, -1)
+        assert msg.window >= applied, f"node {state.id} heard window {msg.window} after {applied}"
+        handle(state, msg)
+        if engine.terminated_at is None:
+            assert engine.summary_window[state.id] == msg.window
+            before = (list(state.fifo), dict(state.stage_history), state.graph)
+            handle(state, msg)  # the same window again changes nothing
+            assert (state.fifo, state.stage_history, state.graph) == before
+
+    engine._handle_pol_summary = checked_handle
+    engine.run()
+
+
+def test_a_late_summary_after_a_scripted_deletion_is_no_repeat():
+    # Node 4's proof of life of window 28 opens at 57.73 s and closes past the
+    # boundary, at 58.04 s; a scripted deletion at 58.01 s is labelled window
+    # 29 and lands first.  The late summary is no repeat: every replica
+    # applies it, as node 4 did, and the replicas end at one stage.
+    engine = _Engine(ScenarioConfig(
+        n_initial=10, m=20, T=2.0, l=3, duration=80.0, seed=0, churn=ChurnConfig(0.1, 0.1, 0.1),
+        script=(ScriptedOp(time=58.01, op="delete", node=1),),
+    ))
+    handle = engine._handle_pol_summary
+    late = []
+
+    def checked_handle(state, msg):
+        below = msg.window < engine.summary_window.get(state.id, -1)
+        handle(state, msg)
+        if below:
+            late.append(state.fifo[-1].author == msg.sender and state.fifo[-1].timestamp == engine.now_s)
+
+    engine._handle_pol_summary = checked_handle
+    engine.run()
+    assert late and all(late)
+    assert len({engine.nodes[v].stage for v in engine.online}) == 1
 
 
 @pytest.mark.parametrize("connectivity, count, expected", [
@@ -993,6 +1053,7 @@ def test_every_full_mesh_run_stays_valid(tmp_path_factory, n, churn, duration, s
         state = engine.nodes[v]
         by_stage.setdefault(state.stage, set()).add(state.fingerprint())
     assert all(len(prints) == 1 for prints in by_stage.values()), "replicas diverged"
+    assert all(s.stage in s.stage_history for s in engine.nodes.values())
     assert all(not s.sybil_flags for s in engine.nodes.values())
     assert_fifos_ordered_and_retained(engine)
 
