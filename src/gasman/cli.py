@@ -197,16 +197,12 @@ def cmd_trace_check(args: argparse.Namespace) -> int:
 
 def _splice_consistent(old: HamiltonianCycle, new: HamiltonianCycle) -> bool:
     """True iff ``new`` is ``old`` with one node spliced in or out."""
-    old_set, new_set = set(old.order), set(new.order)
-    if len(new_set) == len(old_set) + 1 and old_set < new_set:
-        (added,) = new_set - old_set
-        collapsed = HamiltonianCycle(tuple(v for v in new.order if v != added))
-        return collapsed.order == old.order
-    if len(old_set) == len(new_set) + 1 and new_set < old_set:
-        (removed,) = old_set - new_set
-        collapsed = HamiltonianCycle(tuple(v for v in old.order if v != removed))
-        return collapsed.order == new.order
-    return False
+    shorter, longer = sorted((old, new), key=lambda hc: len(hc.vertices))
+    fewer, more = shorter.vertices, longer.vertices
+    if len(more) != len(fewer) + 1 or not fewer < more:
+        return False
+    (spliced,) = more - fewer
+    return HamiltonianCycle(tuple(v for v in longer.order if v != spliced)).order == shorter.order
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ waypoint walk, and floods broadcasts over the resulting disk graph.  That
 graph (``disk_links``) is built by the first broadcast after the positions
 change (a mobility tick, or an insertion that places a node), and its
 components (``flood_components``) once per graph and on-line set, so until
-either changes a broadcast is a lookup.  Traffic is accounted per delivery:
-each node forwards a broadcast at most once and every copy a receiver hears
-is counted at the message's encoded size plus a fixed header.  A broadcast
-then reaches its recipients as one delivery event, handled in recipient id
-order.  A membership step (an insertion's start or close, a proof of life's
-close, a re-entry) due while a membership update is still on the air waits
-until that update has landed.  Whether a member is on-line, off-line or
-deleted is the engine's alone to track; replicas never hold it.
+either changes a broadcast is a lookup (``broadcast_deliver``).  A full
+mesh is the one-component case of the same table: no graph, and every
+on-line member in one component.  Traffic is accounted per delivery: each
+node forwards a broadcast at most once and every copy a receiver hears is
+counted at the message's encoded size plus a fixed header.  A broadcast then
+reaches its recipients as one delivery event, handled in recipient id order.
+A membership step (an insertion's start or close, a proof of life's close, a
+re-entry) due while a membership update is still on the air waits until that
+update has landed.  Whether a member is on-line, off-line or deleted is the
+engine's alone to track; replicas never hold it.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ MOVE_DT_US = 500_000
 #: Each reads a replica the update may not have reached yet: an author that
 #: has not heard the last insertion proposes that insertion's id again.
 _MEMBERSHIP_STEPS = frozenset({"start_insertion", "pol_close", "ack_close", "reentry"})
+#: The engine handler of each delivered message type, by name: ``_on_deliver``
+#: looks the name up on the engine, so a handler replaced on an instance runs.
+_HANDLERS = {
+    PolInitiate: "_handle_pol_initiate",
+    PolAnswer: "_handle_pol_answer",
+    PolSummary: "_handle_pol_summary",
+    InsertionAnnounce: "_handle_insertion_announce",
+    InsertionAck: "_handle_insertion_ack",
+    NeighborSetBroadcast: "_handle_neighbor_set",
+}
 
 
 class ScenarioError(ValueError):
@@ -446,23 +458,25 @@ def disk_links(positions: dict[NodeId, WaypointState], geo: GeometricConfig) -> 
     return {v: frozenset(ns) for v, ns in near.items()}
 
 
-@dataclass(frozen=True)
-class FloodResult:
-    recipients: frozenset[NodeId]
-    forwarders: frozenset[NodeId]
-    deliveries: int
+#: Each flooding member mapped to its component's sorted members and the
+#: number of copies one broadcast within that component puts on the air.
+Components = dict[NodeId, tuple[tuple[NodeId, ...], int]]
 
 
-def flood_components(
-    members: frozenset[NodeId], links: Links
-) -> dict[NodeId, tuple[tuple[NodeId, ...], int]]:
-    """Map each member to its component's sorted members and delivery count.
+def flood_components(members: frozenset[NodeId], links: Optional[Links]) -> Components:
+    """Flood every component of ``members`` over ``links`` at once.
 
-    A broadcast from any member of a component reaches exactly that component
-    and, since each reached node forwards once to its linked members, puts the
-    same number of copies on the air whichever member sent it.
+    ``links`` is a ``disk_links`` table, or ``None`` for a full mesh: one
+    component of all members, with ``n * (n - 1)`` deliveries.  Every reached
+    node forwards a broadcast exactly once, and each transmission is heard by
+    all of the transmitter's linked members, every copy a delivery.  So a
+    broadcast from any member of a component reaches exactly that component
+    and puts the same number of copies on the air whichever member sent it.
     """
-    out: dict[NodeId, tuple[tuple[NodeId, ...], int]] = {}
+    if links is None:
+        n = len(members)
+        return dict.fromkeys(members, (tuple(sorted(members)), n * (n - 1)))
+    out: Components = {}
     for start in members:
         if start in out:
             continue
@@ -481,27 +495,13 @@ def flood_components(
     return out
 
 
-def broadcast_deliver(
-    sender: NodeId,
-    online: set[NodeId],
-    links: Optional[Links],
-) -> FloodResult:
-    """Flood one broadcast over ``links`` with duplicate suppression.
-
-    ``links`` is a ``disk_links`` table, or ``None`` for a full mesh.  Only
-    the on-line nodes and the sender take part.  Every reached node (the
-    sender included) forwards the broadcast exactly once; each transmission
-    is heard by all of the transmitter's linked on-line neighbors, and every
-    such copy counts as a delivery.  The recipient set is the sender's
-    connected component (``flood_components``), minus itself.
-    """
-    members = frozenset(online | {sender})
-    if links is None:
-        n = len(members)
-        return FloodResult(members - {sender}, members, n * (n - 1))
-    component, deliveries = flood_components(members, links)[sender]
-    reached = frozenset(component)
-    return FloodResult(reached - {sender}, reached, deliveries)
+def broadcast_deliver(sender: NodeId, components: Components) -> tuple[tuple[NodeId, ...], int]:
+    """One broadcast looked up in a ``flood_components`` table: the recipients
+    in id order (the sender's component without the sender) and the number
+    of copies on the air."""
+    component, deliveries = components[sender]
+    i = component.index(sender)
+    return component[:i] + component[i + 1:], deliveries
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +572,15 @@ class _Engine:
         self.pending_insert: Optional[_Insertion] = None
         # When the last membership update on the air lands (see ``_act``).
         self._update_lands_us = 0
+        # The connectivity mode, decided once: the geometry, or None for a full mesh.
+        self._geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
         # Positions are replaced, never edited, so a new dict means a new
-        # neighbor table (see ``_link_table``).
+        # neighbor table.  The last flood table (see ``_broadcast``):
+        # (positions, neighbor table, flooding members, components).
         self.positions: dict[NodeId, WaypointState] = {}
-        self._links: Optional[Links] = None
-        self._links_of: Optional[dict[NodeId, WaypointState]] = None
-        # The last flood table: (neighbor table, flooding members, components).
-        self._floods: tuple = (None, frozenset(), {})
-        if isinstance(cfg.connectivity, GeometricConfig):
-            side = cfg.connectivity.area_side
+        self._flood: tuple = (None, None, None, None)
+        if self._geo is not None:
+            side = self._geo.area_side
             for v in sorted(self.nodes):
                 x, y = self.rng.uniform(0.0, side), self.rng.uniform(0.0, side)
                 self.positions[v] = WaypointState(x, y)
@@ -636,15 +636,6 @@ class _Engine:
     def now_s(self) -> float:
         return _sec(self.now_us)
 
-    def _link_table(self) -> Optional[Links]:
-        """The neighbor table of the current positions; ``None`` on a full mesh."""
-        if not isinstance(self.cfg.connectivity, GeometricConfig):
-            return None
-        if self._links_of is not self.positions:
-            self._links = disk_links(self.positions, self.cfg.connectivity)
-            self._links_of = self.positions
-        return self._links
-
     def _check_termination(self) -> None:
         if self.terminated_at is not None:
             return
@@ -663,30 +654,31 @@ class _Engine:
         return True
 
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
-        """Flood a broadcast, meter every delivered copy, schedule its delivery."""
-        links = self._link_table()
-        if links is None:
-            flood = broadcast_deliver(sender, self.online, None)
-            recipients, deliveries = tuple(sorted(flood.recipients)), flood.deliveries
-        else:
-            # Components change only with the positions or the on-line set.
-            members = frozenset(self.online | {sender})
-            if links is not self._floods[0] or members != self._floods[1]:
-                self._floods = (links, members, flood_components(members, links))
-            component, deliveries = self._floods[2][sender]
-            i = component.index(sender)
-            recipients = component[:i] + component[i + 1:]
-        if deliveries:
-            if isinstance(msg, PolSummary) and msg.deletions:
-                deletion_part = len(msg.deletion_payload_bytes())
-                self.metrics.record("deletion", deletion_part, deliveries)
-                self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
-            else:
-                self.metrics.record(msg.traffic_class, msg.size(), deliveries)
-        if recipients:
-            self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
-            if isinstance(msg, NeighborSetBroadcast) or (isinstance(msg, PolSummary) and msg.deletions):
-                self._update_lands_us = self.now_us + HOP_US
+        """Flood a broadcast from ``sender`` over the on-line nodes, meter every
+        delivered copy, and schedule its delivery.  The neighbor table is rebuilt
+        only when the positions dict is replaced, and the components when the
+        positions or the flooding members change; else a broadcast is a lookup."""
+        positions, links, members, components = self._flood
+        flooding = frozenset(self.online | {sender})
+        if positions is not self.positions:
+            positions, members = self.positions, None
+            links = disk_links(positions, self._geo) if self._geo is not None else None
+        if flooding != members:
+            members, components = flooding, flood_components(flooding, links)
+        self._flood = (positions, links, members, components)
+        recipients, deliveries = broadcast_deliver(sender, components)
+        if not recipients:  # a lone sender puts no copy on the air
+            return
+        # A summary's deletions are metered as deletion traffic, and they make
+        # it a membership update, as every insertion broadcast is.
+        deleting = isinstance(msg, PolSummary) and msg.deletions
+        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
+        if deleting:
+            self.metrics.record("deletion", deletion_part, deliveries)
+        self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
+        self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
+        if deleting or isinstance(msg, NeighborSetBroadcast):
+            self._update_lands_us = self.now_us + HOP_US
 
     # -- scheduling --------------------------------------------------------
 
@@ -723,8 +715,7 @@ class _Engine:
 
     def _on_move(self, tick: int) -> None:
         self._queue_tick("move", tick + 1)
-        geo, dt = self.cfg.connectivity, _sec(MOVE_DT_US)
-        self.positions = step_mobility(self.positions, geo, self.rng, dt, self.now_s)
+        self.positions = step_mobility(self.positions, self._geo, self.rng, _sec(MOVE_DT_US), self.now_s)
 
     def _on_churn(self, second: int) -> None:
         self._queue_tick("churn", second + 1)
@@ -754,24 +745,15 @@ class _Engine:
         could run between them; the batch is one event.  It stops where the
         run loop would have stopped between events: at termination.
         """
-        if isinstance(msg, PolInitiate):
-            handle = self._handle_pol_initiate
-        elif isinstance(msg, PolAnswer):
-            handle = self._handle_pol_answer
+        name = _HANDLERS.get(type(msg))
+        if name is None:
+            return
+        handle = getattr(self, name)
+        if type(msg) is PolAnswer:
             # Only a node collecting answers can act on one, and answers do
             # not open or close collections.  Few windows are open at once, so
             # scan those; recipients ascend, so the order is theirs.
             recipients = [r for r in sorted(self.pending_pol) if r in recipients]
-        elif isinstance(msg, PolSummary):
-            handle = self._handle_pol_summary
-        elif isinstance(msg, InsertionAnnounce):
-            handle = self._handle_insertion_announce
-        elif isinstance(msg, InsertionAck):
-            handle = self._handle_insertion_ack
-        elif isinstance(msg, NeighborSetBroadcast):
-            handle = self._handle_neighbor_set
-        else:
-            return
         for recipient in recipients:
             if self.terminated_at is not None:
                 return
@@ -981,7 +963,7 @@ class _Engine:
             return  # rejected; flag already set where applicable
 
     def _spawn_member(self, auth: NodeState, outcome: InsertCommitted, new_id: NodeId) -> None:
-        if isinstance(self.cfg.connectivity, GeometricConfig):
+        if self._geo is not None:
             # Insertion requires physical contact: the newcomer stands next
             # to its authenticator, inside secure-channel range.
             self.positions = {**self.positions, new_id: self.positions[auth.id]}
@@ -1105,40 +1087,32 @@ class _Engine:
         self._apply_summary(self.nodes[author], summary, traced=True)
 
 
-class _MeteredProver:
-    """Honest prover whose round messages are metered over the simulated wire."""
+class _MeteredProver(HonestProver):
+    """Honest prover whose round messages are metered over the simulated wire.
+    A message the channel refuses raises ``ConnectionError``, and
+    ``access_control`` reports "protocol aborted"."""
 
     def __init__(self, engine: _Engine, supplicant: NodeId, verifier: NodeId, state: NodeState):
+        super().__init__(state.graph, state.cycle, engine.rng)
         self._engine = engine
         self._supplicant = supplicant
         self._verifier = verifier
-        self._inner = HonestProver(state.graph, state.cycle, engine.rng)
         self._stage = state.stage
 
+    def _send(self, kind: type[Message], src: NodeId, dst: NodeId, **body) -> None:
+        msg = kind(sender=src, stage=self._stage, sent_at=self._engine.now_s, **body)
+        if not self._engine._meter_unicast(msg, src, dst):
+            raise ConnectionError(f"Node {dst} out of range of Node {src}")
+
     def next_commitment(self):
-        com = self._inner.next_commitment()
-        msg = ZkpCommit(
-            sender=self._supplicant, stage=self._stage,
-            sent_at=self._engine.now_s, commitment=com,
-        )
-        if not self._engine._meter_unicast(msg, self._supplicant, self._verifier):
-            raise ConnectionError("supplicant out of range")
+        com = super().next_commitment()
+        self._send(ZkpCommit, self._supplicant, self._verifier, commitment=com)
         return com
 
     def answer(self, challenge: int):
-        challenge_msg = ZkpChallenge(
-            sender=self._verifier, stage=self._stage,
-            sent_at=self._engine.now_s, bit=challenge,
-        )
-        if not self._engine._meter_unicast(challenge_msg, self._verifier, self._supplicant):
-            raise ConnectionError("verifier out of range")
-        response = self._inner.answer(challenge)
-        msg = ZkpResponse(
-            sender=self._supplicant, stage=self._stage,
-            sent_at=self._engine.now_s, response=response,
-        )
-        if not self._engine._meter_unicast(msg, self._supplicant, self._verifier):
-            raise ConnectionError("supplicant out of range")
+        self._send(ZkpChallenge, self._verifier, self._supplicant, bit=challenge)
+        response = super().answer(challenge)
+        self._send(ZkpResponse, self._supplicant, self._verifier, response=response)
         return response
 
 

@@ -13,6 +13,17 @@ Commitments are SHA-256 digests of the canonical byte encodings, so they are
 bit-exact across processes and platforms.  Both sides hash the relabeled
 graph's encoding from ``relabel_encoding``; the prover builds the graph from
 the committed bytes only when challenge 0 opens it.
+
+What the proof protects, and what it does not.  It keeps out an outsider
+that never heard the public graph G.  It does not keep out anyone who
+overheard G, which travels in the clear (``GraphTransfer``,
+``AccessRequest.claimed_graph``): ``verifier_check`` accepts *any*
+Hamiltonian cycle of G, and a planted cycle plus random edges at average
+degree 2m/n is easy to solve (``tests/cycle_solver.py`` finds one in
+milliseconds).  Nor is the proof zero-knowledge against an eavesdropper: a
+challenge-0 response opens the whole relabeled graph with its relabeled
+cycle, so one overheard round gives the cycle to whoever matches that graph
+back to G, and the unsalted digests hide nothing that can be guessed.
 """
 
 from __future__ import annotations

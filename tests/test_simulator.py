@@ -13,6 +13,7 @@ import pytest
 from conftest import record_air
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from state_digest import state_digest
 
 from gasman.cli import main as gasman_cli
 from gasman.graph import Graph, HamiltonianCycle
@@ -838,16 +839,18 @@ def test_reachability_distance_bands():
 def test_full_mesh_reaches_everyone_as_secure():
     cfg = no_churn_cfg()
     assert reachable(1, 2, {}, cfg) is Reach.DATA_AND_SECURE
-    flood = broadcast_deliver(0, {0, 1, 2, 3}, None)
-    assert flood.recipients == frozenset({1, 2, 3})
-    assert flood.deliveries == 4 * 3
+    recipients, deliveries = broadcast_deliver(0, flood_components(frozenset({0, 1, 2, 3}), None))
+    assert recipients == (1, 2, 3)
+    assert deliveries == 4 * 3
 
 
 def test_flood_stays_within_the_connected_component():
     positions = place({0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (1000, 0), 4: (1100, 0)})
-    flood = broadcast_deliver(0, set(positions), disk_links(positions, GEO))
-    assert flood.recipients == frozenset({1, 2})
-    assert flood.forwarders == frozenset({0, 1, 2})
+    components = flood_components(frozenset(positions), disk_links(positions, GEO))
+    recipients, _ = broadcast_deliver(0, components)
+    assert recipients == (1, 2)
+    # The forwarders are the sender's component.
+    assert components[0][0] == (0, 1, 2)
 
 
 def test_each_node_forwards_a_broadcast_at_most_once():
@@ -857,10 +860,12 @@ def test_each_node_forwards_a_broadcast_at_most_once():
             {i: (rng.uniform(0, 500), rng.uniform(0, 500)) for i in range(12)}
         )
         sender = rng.randrange(12)
-        flood = broadcast_deliver(sender, set(positions), disk_links(positions, GEO))
-        # Forwarders are a set: one transmission per node per broadcast id.
-        assert len(flood.forwarders) <= 12
-        assert flood.recipients <= frozenset(positions) - {sender}
+        components = flood_components(frozenset(positions), disk_links(positions, GEO))
+        recipients, _ = broadcast_deliver(sender, components)
+        forwarders = components[sender][0]
+        # Forwarders are distinct: one transmission per node per broadcast id.
+        assert len(set(forwarders)) == len(forwarders) <= 12
+        assert set(recipients) <= frozenset(positions) - {sender}
 
 
 def pairwise_flood(sender, online, positions, cfg):
@@ -895,18 +900,21 @@ def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
 ):
     positions = place(dict(enumerate(coords)))
     geo = GeometricConfig(500.0, 20.0, 0.5, data_range, secure_range)
-    cfg = no_churn_cfg(connectivity=geo)
+    # A full mesh floods with no neighbor table, and reaches every pair.
+    full_mesh = data.draw(st.booleans())
+    cfg = no_churn_cfg() if full_mesh else no_churn_cfg(connectivity=geo)
+    links = None if full_mesh else disk_links(positions, geo)
     # Positioned nodes left out of ``online`` are the off-line ones.
     online = data.draw(st.sets(st.sampled_from(sorted(positions))))
     sender = data.draw(st.sampled_from(sorted(positions)))
-    links = disk_links(positions, geo)
-    flood = broadcast_deliver(sender, online, links)
-    assert (flood.recipients, flood.forwarders, flood.deliveries) == pairwise_flood(
-        sender, online, positions, cfg
-    )
     # The engine floods every component at once and looks each broadcast up.
     members = frozenset(online | {sender})
     components = flood_components(members, links)
+    recipients, deliveries = broadcast_deliver(sender, components)
+    assert recipients == tuple(sorted(recipients))
+    assert (frozenset(recipients), frozenset(components[sender][0]), deliveries) == pairwise_flood(
+        sender, online, positions, cfg
+    )
     assert set(components) == members
     for v in sorted(members):
         _, forwarders, deliveries = pairwise_flood(v, set(members), positions, cfg)
@@ -930,10 +938,10 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
     engine._broadcast(msg, 0)
     assert sent_to(engine) == (1, 2, 3, 4, 5, 6, 7)
     # Same positions, so the same table; node 3 off-line cuts the chain.
-    table = engine._links
+    table = engine._flood[1]
     engine._turn_off(3)
     engine._broadcast(msg, 0)
-    assert engine._links is table
+    assert engine._flood[1] is table
     assert sent_to(engine) == (1, 2)
     # A move tick takes node 2 out of range of node 1: a new table, a new flood.
     # Its waypoint is set in place, so that only the tick replaces the positions.
@@ -942,7 +950,7 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
     )
     engine._on_move(1)
     engine._broadcast(msg, 0)
-    assert engine._links is not table
+    assert engine._flood[1] is not table
     assert sent_to(engine) == (1,)
     # Deliveries are metered from the cached flood: 7 * 2 + 2 * 2 + 1 * 2 copies.
     assert engine.metrics.counts["proof_of_life"] == 14 + 4 + 2
@@ -976,6 +984,28 @@ def test_secure_channel_never_crosses_a_data_only_pair():
     assert engine.metrics.counts["cycle_transfer"] == 1
     assert engine.metrics.bytes["cycle_transfer"] == transfer.size()
     assert air == [transfer]
+
+
+def test_a_proof_message_the_channel_refuses_aborts_the_reentry():
+    from gasman.protocol import ZkpResponse
+
+    engine = _Engine(no_churn_cfg(seed=1, script=(
+        ScriptedOp(time=2.0, op="turn_off", node=3),
+        ScriptedOp(time=8.0, op="turn_on", node=3),
+    )))
+    meter_unicast = engine._meter_unicast
+
+    def refuse_responses(msg, src, dst):
+        return not isinstance(msg, ZkpResponse) and meter_unicast(msg, src, dst)
+
+    engine._meter_unicast = refuse_responses
+    result = engine.run()
+    text = result.trace_text()
+    assert "8.04\tNode 3 is denied access (protocol aborted)\t\n" in text
+    assert "re-enters" not in text
+    # The request, the first commitment and its challenge went on the air;
+    # the refused response ended the proof.
+    assert result.metrics.counts["zkp"] == 3
 
 
 def test_partitioned_minority_is_deleted_by_the_quorum_side():
@@ -1020,6 +1050,14 @@ def test_evenly_split_partition_aborts_instead_of_deleting():
 # ---------------------------------------------------------------------------
 # Whole-run properties
 # ---------------------------------------------------------------------------
+
+def test_full_engine_state_of_twenty_random_scenarios_is_unchanged():
+    # The golden digests cover what a run prints.  This one also covers the
+    # state no run prints, each replica's FIFO and stage history among it,
+    # across full-mesh and both kinds of geometric scenarios.
+    # ``python tests/state_digest.py --scenarios 400`` runs a larger batch.
+    assert state_digest(20, 0) == "7881bfb044c5f8f13b6055238fc44c6e1716025e5751662ddc04a32de5b09d62"
+
 
 @settings(max_examples=150, deadline=None)
 @given(
