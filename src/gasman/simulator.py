@@ -8,15 +8,15 @@ comes from one seeded generator, and all iteration over node sets is sorted.
 
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
-waypoint walk, and floods broadcasts over the resulting disk graph.  That
-graph (``disk_links``) is built by the first broadcast after the positions
-change (a mobility tick, or an insertion that places a node), and its
-components (``flood_components``) once per graph and on-line set, so until
-either changes a broadcast is a lookup (``broadcast_deliver``).  A full
-mesh is the one-component case of the same table: no graph, and every
-on-line member in one component.  Traffic is accounted per delivery: each
-node forwards a broadcast at most once and every copy a receiver hears is
-counted at the message's encoded size plus a fixed header.  A broadcast then
+waypoint walk, and floods broadcasts over the resulting disk graph.  The
+first broadcast after the positions or the on-line set change (a mobility
+tick, or an insertion that places a node) computes that graph's components
+straight from the members' positions (``flood_components``), so until
+either changes again a broadcast is a lookup (``broadcast_deliver``).  A
+full mesh is the one-component case of the same table: every on-line member
+in one component.  Traffic is accounted per delivery: each node forwards a
+broadcast at most once and every copy a receiver hears is counted at the
+message's encoded size plus a fixed header.  A broadcast then
 reaches its recipients as one delivery event, handled in recipient id order.
 A membership step (an insertion's start or close, a proof of life's close, a
 re-entry) due while a membership update is still on the air waits until that
@@ -29,8 +29,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
+from itertools import compress, repeat
+from operator import le, not_
 from random import Random
 from typing import Optional, Union
 
@@ -435,63 +438,61 @@ def reachable(
     return Reach.NONE
 
 
-#: Who hears whom: each positioned node mapped to the nodes in its range.
-Links = dict[NodeId, frozenset[NodeId]]
-
-
-def disk_links(positions: dict[NodeId, WaypointState], geo: GeometricConfig) -> Links:
-    """The disk graph over every positioned node, on-line or not.
-
-    Two nodes are linked exactly when ``reachable`` gives them any channel,
-    that is when their distance is within the data range or the secure range
-    (the configuration does not order the two).
-    """
-    reach = max(geo.data_range, geo.secure_range)
-    placed = [(v, p.x, p.y) for v, p in positions.items()]
-    near: dict[NodeId, set[NodeId]] = {v: set() for v, _, _ in placed}
-    for i, (u, ux, uy) in enumerate(placed):
-        near_u = near[u]
-        for v, vx, vy in placed[i + 1:]:
-            if math.hypot(ux - vx, uy - vy) <= reach:
-                near_u.add(v)
-                near[v].add(u)
-    return {v: frozenset(ns) for v, ns in near.items()}
-
-
 #: Each flooding member mapped to its component's sorted members and the
 #: number of copies one broadcast within that component puts on the air.
 Components = dict[NodeId, tuple[tuple[NodeId, ...], int]]
 
 
-def flood_components(members: frozenset[NodeId], links: Optional[Links]) -> Components:
-    """Flood every component of ``members`` over ``links`` at once.
+def flood_components(
+    members: frozenset[NodeId], positions: dict[NodeId, WaypointState], geo: Optional[GeometricConfig]
+) -> Components:
+    """Flood every component of ``members`` at once, straight from their positions.
 
-    ``links`` is a ``disk_links`` table, or ``None`` for a full mesh: one
-    component of all members, with ``n * (n - 1)`` deliveries.  Every reached
-    node forwards a broadcast exactly once, and each transmission is heard by
-    all of the transmitter's linked members, every copy a delivery.  So a
-    broadcast from any member of a component reaches exactly that component
-    and puts the same number of copies on the air whichever member sent it.
+    ``geo`` is ``None`` for a full mesh: one component of all members, with
+    ``n * (n - 1)`` deliveries.  Otherwise two members are linked exactly when
+    ``reachable`` gives them a channel: ``math.dist`` here and ``math.hypot``
+    there take CPython's ``vector_norm`` of the same ``fabs(px - qx)`` and
+    ``fabs(py - qy)``, and a distance within the data or the secure range is
+    one within the larger.  Each reached member forwards a broadcast once and
+    every linked member hears each copy, so a broadcast from any member reaches
+    exactly its component and puts twice the component's links on the air.
     """
-    if links is None:
+    if geo is None:
         n = len(members)
         return dict.fromkeys(members, (tuple(sorted(members)), n * (n - 1)))
+    reach, dist = max(geo.data_range, geo.secure_range), math.dist
+    placed = sorted((positions[v].x, positions[v].y, v) for v in members)
+    points, xs = [(x, y) for x, y, _ in placed], [x for x, _, _ in placed]
+    # Only pairs within ``span`` in x are tried.  ``math.dist`` is at least
+    # the computed x gap less an ulp, and that gap is within half an ulp of
+    # the exact one, so a linked pair's exact x gap is below reach times
+    # 1 + 2**-50; as rounding is monotone, the slack keeps every linked pair
+    # in the window, and ``math.dist`` decides the few extra.
+    span = reach * (1.0 + 1e-9)
+    links = []  # each member's links to the members after it in x order
+    for i, p in enumerate(points):
+        window = points[i + 1:bisect_right(xs, p[0] + span, i + 1)]
+        links.append(sum(map(le, map(dist, repeat(p), window), repeat(reach))))
     out: Components = {}
-    for start in members:
-        if start in out:
-            continue
-        seen = {start}
-        frontier = {start}
-        deliveries = 0
-        while frontier:
-            heard: set[NodeId] = set()
-            for u in frontier:
-                near = links[u] & members
-                deliveries += len(near)
-                heard |= near
-            frontier = heard - seen
-            seen |= frontier
-        out.update(dict.fromkeys(seen, (tuple(sorted(seen)), deliveries)))
+    rest, x_of = list(range(len(points))), xs.__getitem__  # the unvisited, in x order
+    while rest:
+        # Grow a component from the last unvisited member: each member taken
+        # from the frontier costs one distance row over its x-window of ``rest``.
+        start = rest.pop()
+        component, frontier = [start], [start]
+        while frontier and rest:
+            p = points[frontier.pop()]
+            lo = bisect_left(rest, p[0] - span, key=x_of)
+            hi = bisect_right(rest, p[0] + span, lo, key=x_of)
+            window = rest[lo:hi]
+            near = list(map(le, map(dist, repeat(p), map(points.__getitem__, window)), repeat(reach)))
+            if True in near:
+                reached = list(compress(window, near))
+                component += reached
+                frontier += reached
+                rest[lo:hi] = compress(window, map(not_, near))
+        entry = (tuple(sorted(placed[i][2] for i in component)), 2 * sum(links[i] for i in component))
+        out.update(dict.fromkeys(entry[0], entry))
     return out
 
 
@@ -574,11 +575,11 @@ class _Engine:
         self._update_lands_us = 0
         # The connectivity mode, decided once: the geometry, or None for a full mesh.
         self._geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
-        # Positions are replaced, never edited, so a new dict means a new
-        # neighbor table.  The last flood table (see ``_broadcast``):
-        # (positions, neighbor table, flooding members, components).
+        # Positions are replaced, never edited, so a new dict means new
+        # components.  The last flood table (see ``_broadcast``):
+        # (positions, flooding members, components).
         self.positions: dict[NodeId, WaypointState] = {}
-        self._flood: tuple = (None, None, None, None)
+        self._flood: tuple = (None, None, None)
         if self._geo is not None:
             side = self._geo.area_side
             for v in sorted(self.nodes):
@@ -655,17 +656,14 @@ class _Engine:
 
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
         """Flood a broadcast from ``sender`` over the on-line nodes, meter every
-        delivered copy, and schedule its delivery.  The neighbor table is rebuilt
-        only when the positions dict is replaced, and the components when the
-        positions or the flooding members change; else a broadcast is a lookup."""
-        positions, links, members, components = self._flood
+        delivered copy, and schedule its delivery.  The components are flooded
+        again only when the positions dict is replaced or the flooding members
+        change; else a broadcast is a lookup."""
+        positions, members, components = self._flood
         flooding = frozenset(self.online | {sender})
-        if positions is not self.positions:
-            positions, members = self.positions, None
-            links = disk_links(positions, self._geo) if self._geo is not None else None
-        if flooding != members:
-            members, components = flooding, flood_components(flooding, links)
-        self._flood = (positions, links, members, components)
+        if positions is not self.positions or flooding != members:
+            components = flood_components(flooding, self.positions, self._geo)
+            self._flood = (self.positions, flooding, components)
         recipients, deliveries = broadcast_deliver(sender, components)
         if not recipients:  # a lone sender puts no copy on the air
             return

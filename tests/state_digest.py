@@ -12,10 +12,11 @@ The scenarios are drawn from ``Random(seed)``: n 8-40 with m = 2n; a full
 mesh, a geometric square, or a geometric square whose secure range exceeds
 its data range; T 2-10; each churn probability 0.05-0.5; 100 s.
 
-    python tests/state_digest.py --scenarios 400 --seed 0
+    python tests/state_digest.py --scenarios 400 --seed 0 [--expect HEX]
 
-prints the scenario count and the digest.  Standard library only; ``gasman``
-is imported from the checkout's ``src/``.
+prints the scenario count and the digest, and with ``--expect`` exits 1 when
+the digest is not HEX.  Standard library only; ``gasman`` is imported from
+the checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -77,8 +78,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--scenarios", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
     args = parser.parse_args(argv)
-    print(args.scenarios, state_digest(args.scenarios, args.seed))
+    digest = state_digest(args.scenarios, args.seed)
+    print(args.scenarios, digest)
+    if args.expect is not None and digest != args.expect:
+        print(f"state digest mismatch: expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -26,7 +26,6 @@ from gasman.simulator import (
     ScriptedOp,
     WaypointState,
     broadcast_deliver,
-    disk_links,
     flood_components,
     reachable,
     run_scenario,
@@ -572,6 +571,37 @@ def test_golden_trace_and_metrics_digests(connectivity, terminated_at, trace_sha
     assert hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest() == metrics_sha
 
 
+@pytest.mark.parametrize(
+    "side, n, trace_sha, metrics_sha",
+    [
+        (
+            500.0, 100,
+            "4769813fc0acca63bb279ca6531605e7c9d915d81806d3c0205f34ea0c53764c",
+            "76a89d992687d4e02922819cd2a1359083cd87b53b46f98f6124d3a550d9fed0",
+        ),
+        (
+            1500.0, 60,
+            "35da041dbd3fc05f672ab9785f4b2df476aef5aa4c6c963084adc2dd9e8b9823",
+            "a98fcfcd39e064fc73a210585252af88e0b835e63f2ab0e3b1a479159ae94a22",
+        ),
+    ],
+    ids=["connected-500m", "split-1500m"],
+)
+def test_golden_digests_of_geometric_runs_at_the_benchmark_size(side, n, trace_sha, metrics_sha):
+    # Frozen output bytes of geometric runs at the benchmark's size.  In
+    # geo_mobility's 500 m square every flood table was one component; in
+    # the 1,500 m square the network split in 15 of its 19 flood tables.
+    cfg = ScenarioConfig(
+        n_initial=n, m=2 * n, T=10.0, l=20, duration=100.0, seed=11,
+        churn=ChurnConfig(0.1, 0.1, 0.1),
+        connectivity=GeometricConfig(side, 20.0, 0.5, 250.0, 5.0),
+    )
+    result = run_scenario(cfg)
+    assert result.outcome == "completed"
+    assert hashlib.sha256(result.trace_text().encode("utf-8")).hexdigest() == trace_sha
+    assert hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest() == metrics_sha
+
+
 def membership(engine, node):
     """A node's place in the life cycle: online, offline or deleted."""
     if node in engine.online:
@@ -839,14 +869,14 @@ def test_reachability_distance_bands():
 def test_full_mesh_reaches_everyone_as_secure():
     cfg = no_churn_cfg()
     assert reachable(1, 2, {}, cfg) is Reach.DATA_AND_SECURE
-    recipients, deliveries = broadcast_deliver(0, flood_components(frozenset({0, 1, 2, 3}), None))
+    recipients, deliveries = broadcast_deliver(0, flood_components(frozenset({0, 1, 2, 3}), {}, None))
     assert recipients == (1, 2, 3)
     assert deliveries == 4 * 3
 
 
 def test_flood_stays_within_the_connected_component():
     positions = place({0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (1000, 0), 4: (1100, 0)})
-    components = flood_components(frozenset(positions), disk_links(positions, GEO))
+    components = flood_components(frozenset(positions), positions, GEO)
     recipients, _ = broadcast_deliver(0, components)
     assert recipients == (1, 2)
     # The forwarders are the sender's component.
@@ -860,7 +890,7 @@ def test_each_node_forwards_a_broadcast_at_most_once():
             {i: (rng.uniform(0, 500), rng.uniform(0, 500)) for i in range(12)}
         )
         sender = rng.randrange(12)
-        components = flood_components(frozenset(positions), disk_links(positions, GEO))
+        components = flood_components(frozenset(positions), positions, GEO)
         recipients, _ = broadcast_deliver(sender, components)
         forwarders = components[sender][0]
         # Forwarders are distinct: one transmission per node per broadcast id.
@@ -888,9 +918,19 @@ COORD = st.integers(0, 400) | st.floats(0, 400)
 RANGE = st.integers(1, 300) | st.floats(1, 300)
 
 
+@st.composite
+def far_coords(draw):
+    """Points offset far from the origin, where one ulp is large (about 1.2e-4
+    near 1e12), on a few x values, so that many pairs share an x."""
+    base = draw(st.sampled_from([1e6, 1e12]))
+    near = COORD.map(lambda c: base + c)
+    xs = draw(st.lists(near, min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(st.sampled_from(xs), near), min_size=1, max_size=14))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    coords=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=14),
+    coords=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=14) | far_coords(),
     data_range=RANGE,
     secure_range=RANGE,
     data=st.data(),
@@ -900,16 +940,15 @@ def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
 ):
     positions = place(dict(enumerate(coords)))
     geo = GeometricConfig(500.0, 20.0, 0.5, data_range, secure_range)
-    # A full mesh floods with no neighbor table, and reaches every pair.
+    # A full mesh floods with no geometry, and reaches every pair.
     full_mesh = data.draw(st.booleans())
     cfg = no_churn_cfg() if full_mesh else no_churn_cfg(connectivity=geo)
-    links = None if full_mesh else disk_links(positions, geo)
     # Positioned nodes left out of ``online`` are the off-line ones.
     online = data.draw(st.sets(st.sampled_from(sorted(positions))))
     sender = data.draw(st.sampled_from(sorted(positions)))
     # The engine floods every component at once and looks each broadcast up.
     members = frozenset(online | {sender})
-    components = flood_components(members, links)
+    components = flood_components(members, positions, None if full_mesh else geo)
     recipients, deliveries = broadcast_deliver(sender, components)
     assert recipients == tuple(sorted(recipients))
     assert (frozenset(recipients), frozenset(components[sender][0]), deliveries) == pairwise_flood(
@@ -937,23 +976,30 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
     msg = PolInitiate(sender=0, stage=0, sent_at=0.0, window=1)
     engine._broadcast(msg, 0)
     assert sent_to(engine) == (1, 2, 3, 4, 5, 6, 7)
-    # Same positions, so the same table; node 3 off-line cuts the chain.
-    table = engine._flood[1]
+    # Same positions, new components: node 3 off-line cuts the chain.
+    positions, components = engine._flood[0], engine._flood[2]
     engine._turn_off(3)
     engine._broadcast(msg, 0)
-    assert engine._flood[1] is table
+    assert engine._flood[0] is positions
+    assert engine._flood[2] is not components
     assert sent_to(engine) == (1, 2)
-    # A move tick takes node 2 out of range of node 1: a new table, a new flood.
+    # A move tick takes node 2 out of range of node 1: new positions, a new flood.
     # Its waypoint is set in place, so that only the tick replaces the positions.
+    components = engine._flood[2]
     engine.positions[2] = WaypointState(
         x=400.0, y=0.0, dest_x=400.0, dest_y=5000.0, speed=2000.0
     )
     engine._on_move(1)
     engine._broadcast(msg, 0)
-    assert engine._flood[1] is not table
+    assert engine._flood[0] is engine.positions is not positions
+    assert engine._flood[2] is not components
     assert sent_to(engine) == (1,)
     # Deliveries are metered from the cached flood: 7 * 2 + 2 * 2 + 1 * 2 copies.
     assert engine.metrics.counts["proof_of_life"] == 14 + 4 + 2
+    # Neither changed since: the next broadcast keeps the components.
+    components = engine._flood[2]
+    engine._broadcast(msg, 0)
+    assert engine._flood[2] is components
 
 
 def test_neighbor_table_links_within_either_range():
@@ -961,9 +1007,29 @@ def test_neighbor_table_links_within_either_range():
     # The secure range exceeds the data range: a pair in secure range only
     # is still reachable, so it is linked.
     geo = GeometricConfig(500.0, 20.0, 0.5, 60.0, 120.0)
-    assert disk_links(positions, geo) == {
-        0: frozenset({1, 2}), 1: frozenset({0, 2}), 2: frozenset({0, 1}), 3: frozenset(),
+    linked = ((0, 1, 2), 6)  # three links, each heard both ways
+    assert flood_components(frozenset(positions), positions, geo) == {
+        0: linked, 1: linked, 2: linked, 3: ((3,), 0),
     }
+
+
+def test_the_x_window_keeps_a_pair_that_rounding_brings_within_range():
+    # The pair's computed x gap is an exact tie that rounds down to the range,
+    # so ``reachable`` links it; the left x plus the range is the same tie and
+    # rounds below the right x.  An x-window without slack would drop the pair.
+    u = math.ulp(GEO.data_range)
+    pair = {0: (u / 2, 0.0), 1: (GEO.data_range + u, 0.0)}
+    assert u / 2 + GEO.data_range < pair[1][0]
+    # Alone, the component search reaches the pair from its right end; with a
+    # chain 3 - 2 - 0 around it, from its left end.
+    for coords in (pair, {**pair, 2: (10.0, 240.0), 3: (251.0, 250.0)}):
+        positions = place(coords)
+        assert reachable(0, 1, positions, geo_cfg()) is Reach.DATA
+        components = flood_components(frozenset(positions), positions, GEO)
+        for v in positions:
+            _, forwarders, deliveries = pairwise_flood(v, set(positions), positions, geo_cfg())
+            assert forwarders == frozenset(positions)
+            assert components[v] == (tuple(sorted(forwarders)), deliveries)
 
 
 def test_secure_channel_never_crosses_a_data_only_pair():
