@@ -4,6 +4,7 @@ trace files, and emit scenario presets."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -219,37 +220,16 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     if args.preset != "paperV":
         print(f"error: unknown preset {args.preset!r}", file=sys.stderr)
         return 1
+    variants: list[tuple[str, object]] = [("fullmesh", "full_mesh")]
+    for area in PRESET_AREAS:
+        geo = GeometricConfig(area_side=area, speed_max=20.0, pause=0.5,
+                              data_range=250.0, secure_range=5.0)
+        variants.append((f"area{int(area)}", geo))
     files: dict[str, str] = {}
-    for n in PRESET_NODES:
-        for churn in PRESET_CHURN:
-            variants: list[tuple[str, object]] = [("fullmesh", "full_mesh")]
-            for area in PRESET_AREAS:
-                variants.append(
-                    (
-                        f"area{int(area)}",
-                        GeometricConfig(
-                            area_side=area,
-                            speed_max=20.0,
-                            pause=0.5,
-                            data_range=250.0,
-                            secure_range=5.0,
-                        ),
-                    )
-                )
-            for label, connectivity in variants:
-                cfg = ScenarioConfig(
-                    n_initial=n,
-                    m=2 * n,
-                    T=10.0,
-                    l=20,
-                    duration=200.0,
-                    seed=1,
-                    churn=ChurnConfig(churn, churn, churn),
-                    connectivity=connectivity,
-                    termination_threshold=3,
-                    admission_deny_prob=0.0,
-                )
-                files[f"n{n}_churn{int(churn * 100):02d}_{label}.json"] = cfg.to_json()
+    for n, churn, (label, connectivity) in itertools.product(PRESET_NODES, PRESET_CHURN, variants):
+        cfg = ScenarioConfig(n_initial=n, m=2 * n, T=10.0, l=20, duration=200.0, seed=1,
+                             churn=ChurnConfig(churn, churn, churn), connectivity=connectivity)
+        files[f"n{n}_churn{int(churn * 100):02d}_{label}.json"] = cfg.to_json()
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

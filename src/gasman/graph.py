@@ -7,13 +7,15 @@ values.  All randomness enters through an explicit ``random.Random`` so that
 callers stay reproducible.
 
 Instance values are built once and shared.  Only the public ``Graph(...)``
-and ``Permutation(...)`` constructors validate; the splices and
-``permute_graph`` build through the trusted ``Graph._trusted``, and
-``Permutation.random`` and ``Permutation.identity`` through
-``Permutation._trusted``.  A graph keeps its encoding and digest, and the
-results of the splices made from it, so all replicas of one parent graph
-share one graph and cycle.  Results are shared by parent object, not by
-value, and a graph keeps alive every later graph spliced from it.
+and ``Permutation(...)`` constructors validate; the dealer
+``instance_around_cycle``, the splices and ``permute_graph`` build through
+the trusted ``Graph._trusted``, and ``Permutation.random`` and
+``Permutation.identity`` through ``Permutation._trusted``.  A graph keeps
+what it derives in cached properties, as a cycle keeps its positions and
+hash: its encoding, digest and relabel table, and the results of the splices
+made from it, so all replicas of one parent graph share one graph and cycle.
+Results are shared by parent object, not by value, and a graph keeps alive
+every later graph spliced from it.
 
 A graph encodes its edges as 64-bit keys ``u << 32 | v``: once the vertex
 list has packed as 32-bit ids, every key packs to the same bytes and sorts in
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from random import Random
@@ -118,10 +120,6 @@ class Graph:
 
     vertices: frozenset[NodeId]
     edges: frozenset[tuple[NodeId, NodeId]]
-    _encoding: bytes = field(init=False, repr=False, compare=False, default=None)
-    _digest: bytes = field(init=False, repr=False, compare=False, default=None)
-    _relabel: _RelabelTable = field(init=False, repr=False, compare=False, default=None)
-    _splices: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vertices = frozenset(self.vertices)
@@ -150,8 +148,41 @@ class Graph:
         keys = encoding[9 + 4 * len(vertices):]  # past the version, both counts and the vertices
         # A key ``u << 32 | v`` packs as the pair ``(u, v)``, smaller endpoint first.
         g = cls._trusted(vertices, frozenset(struct.iter_unpack(">II", keys)))
-        object.__setattr__(g, "_encoding", encoding)
+        vars(g)["_encoding"] = encoding
         return g
+
+    @cached_property
+    def _encoding(self) -> bytes:
+        # Packing the vertices first rejects any id outside 0..2**32-1.  Every
+        # edge endpoint is a vertex, so each key ``u << 32 | v`` then packs as
+        # ``>Q`` to the bytes of ``>II`` over ``(u, v)`` and sorts as that
+        # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift,
+        # and ids of mixed types cannot sort.
+        try:
+            head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(self.vertices))
+            keys = [u << 32 | v for u, v in self.edges]
+        except TypeError as exc:
+            raise GraphError(f"node id out of encodable range: {exc}") from exc
+        return _graph_encoding(head, keys)
+
+    @cached_property
+    def _digest(self) -> bytes:
+        return hashlib.sha256(encode_graph(self)).digest()
+
+    @cached_property
+    def _relabel(self) -> _RelabelTable:
+        # Encoding first rejects every id that cannot be packed or sorted.
+        head = encode_graph(self)[: 5 + 4 * len(self.vertices)]
+        position = {v: i for i, v in enumerate(sorted(self.vertices))}
+        flat = [position[x] for edge in self.edges for x in edge]
+        # ``itemgetter()`` takes at least one item; an edgeless graph slices none.
+        ends = itemgetter(*flat) if flat else itemgetter(slice(0))
+        return _RelabelTable(position, head, ends)
+
+    @cached_property
+    def _splices(self) -> dict:
+        """The splice results made from this graph, by the splice's other arguments."""
+        return {}
 
     @property
     def order(self) -> int:
@@ -299,25 +330,11 @@ def _graph_encoding(head: bytes, keys: list[int]) -> bytes:
 
 def encode_graph(g: Graph) -> bytes:
     """Sorted vertex list, then sorted edge list, smaller endpoint first; kept on ``g``."""
-    if g._encoding is None:
-        # Packing the vertices first rejects any id outside 0..2**32-1.  Every
-        # edge endpoint is a vertex, so each key ``u << 32 | v`` then packs as
-        # ``>Q`` to the bytes of ``>II`` over ``(u, v)`` and sorts as that
-        # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift,
-        # and ids of mixed types cannot sort.
-        try:
-            head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(g.vertices))
-            keys = [u << 32 | v for u, v in g.edges]
-        except TypeError as exc:
-            raise GraphError(f"node id out of encodable range: {exc}") from exc
-        object.__setattr__(g, "_encoding", _graph_encoding(head, keys))
     return g._encoding
 
 
 def graph_digest(g: Graph) -> bytes:
     """SHA-256 of ``encode_graph(g)``; kept on ``g``."""
-    if g._digest is None:
-        object.__setattr__(g, "_digest", hashlib.sha256(encode_graph(g)).digest())
     return g._digest
 
 
@@ -357,24 +374,6 @@ def is_hamiltonian_cycle(g: Graph, hc: HamiltonianCycle) -> bool:
     return True
 
 
-def _relabel_table(g: Graph) -> _RelabelTable:
-    """``g``'s relabel table, built on first use and kept on ``g``.
-
-    Raises ``GraphError`` when an id of ``g`` has no encoding.
-    """
-    table = g._relabel
-    if table is None:
-        # Encoding first rejects every id that cannot be packed or sorted.
-        head = encode_graph(g)[: 5 + 4 * len(g.vertices)]
-        position = {v: i for i, v in enumerate(sorted(g.vertices))}
-        flat = [position[x] for edge in g.edges for x in edge]
-        # ``itemgetter()`` takes at least one item; an edgeless graph slices none.
-        ends = itemgetter(*flat) if flat else itemgetter(slice(0))
-        table = _RelabelTable(position, head, ends)
-        object.__setattr__(g, "_relabel", table)
-    return table
-
-
 def relabel_encoding(g: Graph, p: Permutation) -> bytes:
     """``encode_graph(permute_graph(g, p))``, without building the relabeled graph.
 
@@ -384,7 +383,7 @@ def relabel_encoding(g: Graph, p: Permutation) -> bytes:
     """
     if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
-    table = _relabel_table(g)
+    table = g._relabel
     # The domain is sorted, so ``p.image[i]`` relabels the vertex at position ``i``.
     ends = iter(table.ends(p.image))
     try:
@@ -405,7 +404,7 @@ def cycle_getter(g: Graph, hc: HamiltonianCycle) -> Callable[[tuple], tuple]:
 
     Raises ``PermutationDomainMismatch`` when ``hc`` has a vertex outside ``g``.
     """
-    position = _relabel_table(g).position
+    position = g._relabel.position
     try:
         at = [position[v] for v in hc.order]
     except KeyError as exc:
@@ -450,18 +449,19 @@ def build_initial_graph(n: int, m: int, rng: Random) -> tuple[Graph, Hamiltonian
 
     order = list(range(n))
     _shuffle(order, rng)
-    cycle = HamiltonianCycle(tuple(order))
-    edges = complete_edges_from_cycle(tuple(order), group_size, rng)
-    return Graph(frozenset(range(n)), edges), cycle
+    return instance_around_cycle(tuple(order), group_size, rng)
 
 
-def complete_edges_from_cycle(
+def instance_around_cycle(
     order: tuple[NodeId, ...], group_size: int, rng: Random
-) -> frozenset[tuple[NodeId, NodeId]]:
-    """Top every vertex's neighbor group up to ``group_size`` around a cycle.
+) -> tuple[Graph, HamiltonianCycle]:
+    """Deal the shared instance whose secret cycle runs through ``order``.
 
-    Groups stay mutual and degree-capped, so the union holds at most
-    ``group_size * n / 2`` edges and always contains the cycle.
+    Every vertex tops its neighbor group up to ``group_size`` around the
+    cycle.  Groups stay mutual and degree-capped, so the union holds at most
+    ``group_size * n / 2`` edges and always contains the cycle.  ``order``
+    must list at least three distinct 32-bit ids; the edges are normalized
+    and loop-free by construction, so the graph is built unchecked.
     """
     n = len(order)
     edges: set[tuple[NodeId, NodeId]] = set()
@@ -482,7 +482,7 @@ def complete_edges_from_cycle(
             edges.add(_norm_edge(i, partner))
             degree[i] += 1
             degree[partner] += 1
-    return frozenset(edges)
+    return Graph._trusted(frozenset(order), frozenset(edges)), HamiltonianCycle(order)
 
 
 def _draw_partner(
@@ -578,13 +578,6 @@ def locate_insertion_pair(
     return (u, v) if hc.successor(u) == v else (v, u)
 
 
-def _splice_results(g: Graph) -> dict:
-    """The splice results made from ``g``, by the splice's other arguments; kept on ``g``."""
-    if g._splices is None:
-        object.__setattr__(g, "_splices", {})
-    return g._splices
-
-
 def splice_insert(
     g: Graph,
     hc: HamiltonianCycle,
@@ -605,7 +598,7 @@ def splice_insert(
     # then fail in ``graph_digest``, with the replica already updated.
     if not all(isinstance(v, int) and 0 <= v < 2**32 for v in (new_id, *neighbor_set)):
         raise InvalidSplice("invalid splice")
-    results = _splice_results(g)
+    results = g._splices
     key = (hc, new_id, neighbor_set)
     result = results.get(key)
     if result is None:
@@ -630,7 +623,7 @@ def splice_delete(
     its former cycle neighbors so the cycle stays closed.  The result is kept
     on ``g`` like that of :func:`splice_insert`.
     """
-    results = _splice_results(g)
+    results = g._splices
     key = (hc, victim)
     result = results.get(key)
     if result is None:

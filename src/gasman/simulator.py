@@ -44,7 +44,7 @@ from .graph import (
     NodeId,
     assign_new_id,
     build_initial_graph,
-    complete_edges_from_cycle,
+    instance_around_cycle,
 )
 from .protocol import (
     AccessRequest,
@@ -606,12 +606,11 @@ class _Engine:
     # -- plumbing ----------------------------------------------------------
 
     def _dealer_setup(self) -> tuple[Graph, HamiltonianCycle]:
-        if self.cfg.initial_cycle is not None:
-            order = tuple(self.cfg.initial_cycle)
-            group_size = (2 * self.cfg.m) // self.cfg.n_initial
-            edges = complete_edges_from_cycle(order, group_size, self.rng)
-            return Graph(frozenset(order), edges), HamiltonianCycle(order)
-        return build_initial_graph(self.cfg.n_initial, self.cfg.m, self.rng)
+        cfg = self.cfg
+        if cfg.initial_cycle is None:
+            return build_initial_graph(cfg.n_initial, cfg.m, self.rng)
+        # ``validate`` has shown the ids to be n_initial distinct 32-bit integers.
+        return instance_around_cycle(tuple(cfg.initial_cycle), 2 * cfg.m // cfg.n_initial, self.rng)
 
     def _push(self, t_us: int, kind: str, payload: tuple) -> None:
         self._seq += 1

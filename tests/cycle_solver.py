@@ -16,7 +16,7 @@ end on the path, at position ``i``, and reverses the path after ``i``, so
 the old successor of ``u`` becomes the end.  A path through every vertex
 whose end is adjacent to its start closes the cycle.  The search restarts
 from a fresh vertex after 20 n^2 moves and gives up after ``budget_s``
-seconds.
+seconds, a deadline it checks every n moves.
 
 Standard library only; no part of gasman uses it.
 """
@@ -63,7 +63,9 @@ def find_hamiltonian_cycle(graph: Graph, rng: Random, budget_s: float = 1.0) -> 
     while time.perf_counter() < deadline:
         path = [vertices[rng.randrange(n)]]
         position = {path[0]: 0}
-        for _ in range(steps):
+        for step in range(steps):
+            if step % n == 0 and time.perf_counter() >= deadline:
+                return None
             end = path[-1]
             fresh = [w for w in adjacency[end] if w not in position]
             if fresh:

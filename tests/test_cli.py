@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -262,6 +263,15 @@ def test_gen_scenario_emits_loadable_sweep(tmp_path):
     assert sample.n_initial in (15, 30, 50, 100)
     names = " ".join(f.name for f in files)
     assert "n15_" in names and "n100_" in names and "area750" in names
+
+
+def test_gen_scenario_preset_bytes_are_pinned(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli("gen-scenario", "--preset", "paperV", "--out", out) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir(), key=lambda p: p.name):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == "0cfc648563bca99eca8d74ac40d64ceae1ff2a20104e8862beaffcce226e846f"
 
 
 def test_gen_scenario_unknown_preset(tmp_path, capsys):

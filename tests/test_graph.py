@@ -1,5 +1,6 @@
 """Graph-core: cycle canonicalization, splice rules, generator invariants."""
 
+import dataclasses
 import gc
 import itertools
 import struct
@@ -28,6 +29,7 @@ from gasman.graph import (
     encode_cycle,
     encode_graph,
     encode_permutation,
+    instance_around_cycle,
     is_hamiltonian_cycle,
     locate_insertion_pair,
     neighbor_set_for_insert,
@@ -221,6 +223,27 @@ def test_initialization_invariants(seed):
     assert is_hamiltonian_cycle(g, hc)
     assert all(g.degree(v) >= 2 for v in g.vertices)
     assert 11 <= g.size <= 22
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dealt_instance_matches_validated_construction(seed):
+    order = (8, 3, 9, 7, 4, 2, 6, 5, 1, 10, 0, 2**32 - 1)
+    g, hc = instance_around_cycle(order, 4, Random(seed))
+    assert g == Graph(frozenset(order), g.edges)
+    assert hc == HamiltonianCycle(order)
+    assert is_hamiltonian_cycle(g, hc)
+    assert all(u < v for u, v in g.edges)
+    assert all(g.degree(v) >= 2 for v in g.vertices)
+    assert len(order) <= g.size <= 2 * len(order)
+
+
+def test_graph_fields_are_the_vertices_and_edges_only():
+    # Derived data lives in cached properties, outside equality and hashing.
+    assert [f.name for f in dataclasses.fields(Graph)] == ["vertices", "edges"]
+    g, _ = build_initial_graph(11, 22, Random(1))
+    encode_graph(g)
+    assert "_encoding" in vars(g)
+    assert g == Graph(g.vertices, g.edges) and hash(g) == hash(Graph(g.vertices, g.edges))
 
 
 @pytest.mark.parametrize(
@@ -614,7 +637,7 @@ def test_relabeling_matches_a_validated_reference(g, rng):
                      frozenset((mapping[u], mapping[v]) for u, v in g.edges))
     relabeled = permute_graph(g, p)
     assert relabeled == expected
-    assert relabeled._encoding == encode_graph(expected) == reference_encode_graph(expected)
+    assert vars(relabeled)["_encoding"] == encode_graph(expected) == reference_encode_graph(expected)
 
 
 def reference_is_hamiltonian_cycle(g, order):
@@ -660,7 +683,7 @@ def test_relabel_encoding_matches_a_reference(g, rng):
     encoding = encode_graph(permute_graph(g, p))
     assert encoding == reference_relabel_encoding(g, p)
     # The second relabel reads the table the first one kept on ``g``.
-    assert g._relabel is not None
+    assert "_relabel" in vars(g)
     assert encode_graph(permute_graph(g, p)) == encoding
     assert relabel_encoding(g, p) == encoding
 
