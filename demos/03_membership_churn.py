@@ -5,6 +5,7 @@ one member: the network grows while it sleeps, it returns in time and catches
 up, and an attacker trying to borrow an on-line identity is flagged.
 """
 
+from dataclasses import replace
 from random import Random
 
 from gasman import build_initial_graph
@@ -50,7 +51,8 @@ for v in sorted(nodes):
         apply_insertion_update(nodes[v], committed.broadcast, cfg, now=1.0)
 
 verifier = nodes[3]
-verifier.online_view.discard(5)
+# Node 5 is off-line: the verifier holds a replica whose view lacks it.
+verifier.replica = replace(verifier.replica, online_view=verifier.online_view - {5})
 print("network is now at stage", verifier.stage, "with", verifier.graph.order, "members")
 
 # --- it returns within the window and catches up -----------------------------

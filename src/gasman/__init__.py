@@ -29,6 +29,7 @@ from .protocol import (
     NodeState,
     ProtocolConfig,
     ProtocolError,
+    Replica,
     access_control,
     apply_deletion_update,
     apply_insertion_update,
@@ -79,6 +80,7 @@ __all__ = [
     "NodeState",
     "ProtocolConfig",
     "ProtocolError",
+    "Replica",
     "access_control",
     "apply_deletion_update",
     "apply_insertion_update",

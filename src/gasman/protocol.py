@@ -6,14 +6,23 @@ recent update records.  One rule, :func:`apply_update_record`, applies every
 record, live or in catch-up replay, one at a time per node; replicas that
 apply the same record stream end up with byte-identical canonical state,
 which is the property everything else leans on.
+
+A replica is an immutable :class:`Replica` value, and replicas that agree
+share one.  An insertion or a summary keeps its result on the value it
+started from, keyed by exactly what it reads: of the members holding one
+value, the first to hear an update computes it and the others look it up.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import attrgetter
 from random import Random
-from typing import Iterable, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Union
 
 from . import zkp
 from .graph import (
@@ -315,23 +324,60 @@ class ProtocolConfig:
         return int(now // self.T)
 
 
+@dataclass(frozen=True)
+class Replica:
+    """One value of a node's replica: the shared instance, its stage, the
+    FIFO of recent update records in time order, the stage history and the
+    on-line view.
+
+    A value never changes; a transition makes a new one and keeps it in
+    ``_kept``, so every member holding this value gets the same result
+    object.  A transition that raises keeps nothing, so it raises every time.
+    """
+
+    graph: Graph
+    cycle: Optional[HamiltonianCycle]
+    stage: int
+    fifo: tuple[UpdateRecord, ...]
+    # stage -> (graph digest, time the stage was reached); bounded like the fifo
+    stage_history: Mapping[int, tuple[bytes, float]]
+    online_view: frozenset[NodeId]
+
+    @classmethod
+    def initial(cls, graph: Graph, cycle: HamiltonianCycle, now: float = 0.0, stage: int = 0) -> "Replica":
+        # Setup itself is everyone's first sign of life; without this record a
+        # member could be judged silent before the first window even closes.
+        members = frozenset(graph.vertices)
+        first = PolRecord(stage, members, min(members), now)
+        history = MappingProxyType({stage: (graph_digest(graph), now)})
+        return cls(graph, cycle, stage, (first,), history, members)
+
+    @cached_property
+    def _kept(self) -> dict:
+        """The transitions made from this value: each result by what it read."""
+        return {}
+
+
 @dataclass
 class NodeState:
-    """One node's replica and bounded update queue.
+    """One node: its id, the Sybil flags it raised, and the replica value it
+    holds, which transitions replace and never edit.
 
     Whether the node is on-line, off-line or deleted is the simulator's to
     track, not the replica's.
     """
 
     id: NodeId
-    graph: Graph
-    cycle: Optional[HamiltonianCycle]
-    stage: int = 0
-    fifo: list[UpdateRecord] = field(default_factory=list)
-    online_view: set[NodeId] = field(default_factory=set)
+    replica: Replica
     sybil_flags: set[NodeId] = field(default_factory=set)
-    # stage -> (graph digest, time the stage was reached); bounded like the fifo
-    stage_history: dict[int, tuple[bytes, float]] = field(default_factory=dict)
+
+    # The replica's fields, read through the node.
+    graph = property(attrgetter("replica.graph"))
+    cycle = property(attrgetter("replica.cycle"))
+    stage = property(attrgetter("replica.stage"))
+    fifo = property(attrgetter("replica.fifo"))
+    stage_history = property(attrgetter("replica.stage_history"))
+    online_view = property(attrgetter("replica.online_view"))
 
     @classmethod
     def initial(
@@ -342,15 +388,7 @@ class NodeState:
         now: float = 0.0,
         stage: int = 0,
     ) -> "NodeState":
-        state = cls(id=node_id, graph=graph, cycle=cycle, stage=stage)
-        state.online_view = set(graph.vertices)
-        state.stage_history[stage] = (graph_digest(graph), now)
-        # Setup itself is everyone's first sign of life; without this record a
-        # member could be judged silent before the first window even closes.
-        state.fifo.append(
-            PolRecord(stage, frozenset(graph.vertices), min(graph.vertices), now)
-        )
-        return state
+        return cls(node_id, Replica.initial(graph, cycle, now, stage))
 
     def fingerprint(self) -> bytes:
         """Canonical byte image of the replicated instance."""
@@ -358,36 +396,53 @@ class NodeState:
         return encode_graph(self.graph) + cycle_bytes
 
 
+_timestamp = attrgetter("timestamp")
+
+
 def prune_fifo(state: NodeState, now: float, cfg: ProtocolConfig) -> None:
+    """Give the node its replica without the records and the past stages
+    older than the retention window at ``now``; with nothing to drop, the
+    node keeps the value it holds.  The FIFO is in time order, so its old
+    records are a prefix."""
+    r = state.replica
     horizon = now - cfg.retention
-    state.fifo = [r for r in state.fifo if r.timestamp >= horizon]
-    stale = [s for s, (_, t) in state.stage_history.items() if t < horizon and s != state.stage]
-    for s in stale:
-        del state.stage_history[s]
+    old = bisect_left(r.fifo, horizon, key=_timestamp)
+    stale = [s for s, (_, t) in r.stage_history.items() if t < horizon and s != r.stage]
+    if old or stale:
+        history = {s: entry for s, entry in r.stage_history.items() if s not in stale}
+        state.replica = Replica(r.graph, r.cycle, r.stage, r.fifo[old:], MappingProxyType(history), r.online_view)
 
 
 def apply_update_record(state: NodeState, rec: UpdateRecord, cfg: ProtocolConfig) -> None:
-    """Apply one record to a replica; the single mutation path for the
-    shared instance, used identically by live handlers and catch-up replay.
+    """Apply one record to a node's replica; the single rule for the shared
+    instance, used identically by live handlers and catch-up replay.
 
     An insertion or deletion must carry the next stage, and splices to it.  A
     proof-of-life record of the current stage re-stamps that stage: a
     witnessed summary confirms it is live, so a member leaving now is measured
-    stale from then.  Every record joins the FIFO, pruned at its time.
+    stale from then.  Every record joins the FIFO in time order, after the
+    records of its own time, and the FIFO is pruned at that time.  The node
+    gets a new value computed from its old one, the record and the retention
+    alone; the old value is not changed.
     """
+    r = state.replica
+    graph, cycle, stage, view = r.graph, r.cycle, r.stage, r.online_view
     if not isinstance(rec, PolRecord):
-        if rec.stage != state.stage + 1:
-            raise ProtocolError(f"update out of order: have stage {state.stage}, got {rec.stage}")
+        if rec.stage != stage + 1:
+            raise ProtocolError(f"update out of order: have stage {stage}, got {rec.stage}")
         if isinstance(rec, InsertionRecord):
-            state.graph, state.cycle = splice_insert(state.graph, state.cycle, rec.node, rec.neighbors)
-            state.online_view |= {rec.node, rec.author}
+            graph, cycle = splice_insert(graph, cycle, rec.node, rec.neighbors)
+            view = view | {rec.node, rec.author}
         else:
-            state.graph, state.cycle = splice_delete(state.graph, state.cycle, rec.node)
-            state.online_view.discard(rec.node)
-        state.stage = rec.stage
-    if rec.stage == state.stage:
-        state.stage_history[rec.stage] = (graph_digest(state.graph), rec.timestamp)
-    state.fifo.append(rec)
+            graph, cycle = splice_delete(graph, cycle, rec.node)
+            view = view - {rec.node}
+        stage = rec.stage
+    history = r.stage_history
+    if rec.stage == stage:
+        history = MappingProxyType({**history, stage: (graph_digest(graph), rec.timestamp)})
+    # A catch-up grant can replay a record older than the replica's own.
+    at = bisect_right(r.fifo, rec.timestamp, key=_timestamp)
+    state.replica = Replica(graph, cycle, stage, (*r.fifo[:at], rec, *r.fifo[at:]), history, view)
     prune_fifo(state, rec.timestamp, cfg)
 
 
@@ -464,7 +519,13 @@ def apply_insertion_update(
     if detect_sybil(state, (broadcast,)):
         raise DuplicateIdError("ID already assigned")
     record = InsertionRecord(state.stage + 1, broadcast.node, broadcast.neighbors, broadcast.sender, now)
-    apply_update_record(state, record, cfg)
+    before, key = state.replica, (record, cfg.retention)
+    after = before._kept.get(key)
+    if after is None:
+        apply_update_record(state, record, cfg)
+        before._kept[key] = state.replica
+    else:
+        state.replica = after
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +591,7 @@ def access_control(
         r for r in verifier.fifo
         if r.stage > req.stage or (isinstance(r, PolRecord) and r.timestamp > now - cfg.T)
     )
-    verifier.online_view.add(req.claimed_id)
+    verifier.replica = replace(verifier.replica, online_view=verifier.online_view | {req.claimed_id})
     return Granted(
         AccessGrant(
             sender=verifier.id,
@@ -546,19 +607,17 @@ def access_control(
 def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) -> None:
     """Replay a grant's records through :func:`apply_update_record`, adding
     each witnessed living set to the on-line view; the replica then lists
-    itself on-line and puts its FIFO back in time order, pruned at the
-    grant's send time."""
+    itself on-line, and its FIFO is pruned at the grant's send time."""
     for rec in grant.records:
         apply_update_record(state, rec, cfg)
         if isinstance(rec, PolRecord):
-            state.online_view |= rec.alive
+            state.replica = replace(state.replica, online_view=state.online_view | rec.alive)
     if state.stage != grant.current_stage:
         raise ProtocolError(
             f"catch-up incomplete: reached stage {state.stage}, expected {grant.current_stage}"
         )
-    state.fifo.sort(key=lambda r: r.timestamp)
+    state.replica = replace(state.replica, online_view=state.online_view | {state.id})
     prune_fifo(state, grant.sent_at, cfg)
-    state.online_view.add(state.id)
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +704,25 @@ def apply_deletion_update(
     summary so that every replica applies the identical set, including
     members who joined mid-window and hold no earlier records.  Returns the
     ids actually removed.  A shrink below a valid cycle raises
-    ``BelowMinimumOrder``; callers run the termination check.
+    ``BelowMinimumOrder``; callers run the termination check.  The result
+    and the removed ids are kept on the replica value, keyed by the summary,
+    ``now`` and the retention.
     """
-    apply_update_record(state, PolRecord(state.stage, summary.alive, summary.sender, now), cfg)
-    state.online_view = set(summary.alive) | {summary.sender}
-    removed = sorted(summary.deletions & state.graph.vertices)
-    for victim in removed:
-        apply_update_record(state, DeletionRecord(state.stage + 1, victim, summary.sender, now), cfg)
-    return removed
+    before, key = state.replica, (summary, now, cfg.retention)
+    kept = before._kept.get(key)
+    if kept is None:
+        apply_update_record(state, PolRecord(state.stage, summary.alive, summary.sender, now), cfg)
+        # The living set that ``proof_of_life_cycle`` or a scripted deletion
+        # makes holds its sender already, and is then the view as it is.
+        alive, sender, r = summary.alive, summary.sender, state.replica
+        view = alive if sender in alive else alive | {sender}
+        state.replica = Replica(r.graph, r.cycle, r.stage, r.fifo, r.stage_history, view)
+        removed = tuple(sorted(summary.deletions & state.graph.vertices))
+        for victim in removed:
+            apply_update_record(state, DeletionRecord(state.stage + 1, victim, summary.sender, now), cfg)
+        kept = before._kept[key] = state.replica, removed
+    state.replica = kept[0]
+    return list(kept[1])
 
 
 def check_termination(online_count: int, cfg: ProtocolConfig) -> bool:

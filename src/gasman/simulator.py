@@ -30,11 +30,12 @@ import heapq
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import compress, repeat
 from operator import le, not_
 from random import Random
+from types import MappingProxyType
 from typing import Optional, Union
 
 from .graph import (
@@ -62,6 +63,7 @@ from .protocol import (
     PolInitiate,
     PolSummary,
     ProtocolConfig,
+    Replica,
     ZkpChallenge,
     ZkpCommit,
     ZkpResponse,
@@ -554,9 +556,9 @@ class _Engine:
         self.terminated_at: Optional[float] = None
 
         graph, cycle = self._dealer_setup()
-        self.nodes: dict[NodeId, NodeState] = {
-            v: NodeState.initial(v, graph, cycle) for v in sorted(graph.vertices)
-        }
+        # Every member starts from one dealt replica value.
+        dealt = Replica.initial(graph, cycle)
+        self.nodes: dict[NodeId, NodeState] = {v: NodeState(v, dealt) for v in sorted(graph.vertices)}
         # The engine alone knows where each member is in its life cycle: a
         # node in neither set is deleted.  Replicas never see these sets.
         self.online: set[NodeId] = set(self.nodes)
@@ -973,9 +975,12 @@ class _Engine:
         member = NodeState.initial(
             new_id, outcome.graph_transfer.graph, outcome.cycle_transfer.cycle, self.now_s
         )
-        member.stage = auth.stage
-        member.stage_history = {auth.stage: auth.stage_history[auth.stage]}
-        member.online_view = set(auth.online_view)
+        member.replica = replace(
+            member.replica,
+            stage=auth.stage,
+            stage_history=MappingProxyType({auth.stage: auth.stage_history[auth.stage]}),
+            online_view=auth.online_view,
+        )
         # A reused id replaces whatever node held it, windows too.  Old windows
         # all precede the newcomer's first check, a full T away; only a second
         # proof of life or summary of one (a partition can run it) read them.

@@ -7,6 +7,7 @@ and the measured values as they complete.
 import functools
 import math
 import time
+from dataclasses import replace
 from random import Random
 
 from conftest import record_air
@@ -194,7 +195,7 @@ def test_criterion_5_expiry_boundary():
     nodes = {v: NodeState.initial(v, graph, cycle, 0.0) for v in sorted(graph.vertices)}
     supplicant = nodes[5]
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    verifier.replica = replace(verifier.replica, online_view=verifier.online_view - {5})
     rng = Random(55)
     for step in (1, 2):  # two insertions the supplicant will have to catch up on
         outcome = authenticator_insert(nodes[1], 9, rng, float(step), cfg)
@@ -215,7 +216,7 @@ def test_criterion_5_expiry_boundary():
     assert supplicant.fingerprint() == verifier.fingerprint()
     assert supplicant.id in supplicant.online_view
 
-    verifier.online_view.discard(5)
+    verifier.replica = replace(verifier.replica, online_view=verifier.online_view - {5})
     req = AccessRequest(
         sender=5, stage=supplicant.stage, sent_at=stage_time,
         claimed_id=5, claimed_graph=supplicant.graph,

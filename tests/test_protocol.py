@@ -1,5 +1,6 @@
 """Membership flows: quorums, replica convergence, expiry, Sybil defenses."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -146,6 +147,11 @@ def test_random_conforming_broadcasts_keep_invariants(seed):
 # Access control
 # ---------------------------------------------------------------------------
 
+def leave_out_of_view(state, node_id):
+    """Give ``state`` a replica whose on-line view lacks ``node_id``."""
+    state.replica = replace(state.replica, online_view=state.online_view - {node_id})
+
+
 def offline_copy(nodes, node_id, when):
     """Detach one replica as an off-line supplicant snapshot."""
     return nodes[node_id]
@@ -166,7 +172,7 @@ def test_expiry_boundary_is_inclusive_at_T():
     nodes = make_network()
     supplicant = offline_copy(nodes, 5, when=0.0)
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
     req = AccessRequest(
         sender=5, stage=supplicant.stage, sent_at=0.0,
         claimed_id=5, claimed_graph=supplicant.graph,
@@ -175,7 +181,7 @@ def test_expiry_boundary_is_inclusive_at_T():
     decision = access_control(verifier, req, prover, CFG, Random(4), now=CFG.T)
     assert isinstance(decision, Granted)
 
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
     prover = HonestProver(supplicant.graph, supplicant.cycle, Random(3))
     decision = access_control(
         verifier, req, prover, CFG, Random(4), now=CFG.T + 1e-6
@@ -265,7 +271,7 @@ def test_failed_proof_is_denied_and_flagged():
     nodes = make_network()
     supplicant = offline_copy(nodes, 5, when=0.0)
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
 
     class WrongWitnessProver:
         """Claims node 5's place with a fabricated instance."""
@@ -293,7 +299,7 @@ def test_fabricated_history_graph_is_rejected():
     nodes = make_network()
     offline_copy(nodes, 5, when=0.0)
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
     fake_graph, fake_cycle = build_initial_graph(11, 22, Random(50))
     req = AccessRequest(
         sender=5, stage=0, sent_at=1.0, claimed_id=5, claimed_graph=fake_graph
@@ -307,7 +313,7 @@ def test_unencodable_claimed_graph_is_a_mismatch_not_an_error():
     nodes = make_network(n=8, m=16, seed=1)
     offline_copy(nodes, 5, when=0.0)
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
     flags, view = set(verifier.sybil_flags), set(verifier.online_view)
     # Ids travel as 32-bit unsigned integers, so no encoding carries 2**32.
     claimed = Graph(verifier.graph.vertices | {2**32}, verifier.graph.edges)
@@ -322,7 +328,7 @@ def test_transport_failure_aborts_the_protocol():
     nodes = make_network()
     offline_copy(nodes, 5, when=0.0)
     verifier = nodes[0]
-    verifier.online_view.discard(5)
+    leave_out_of_view(verifier, 5)
 
     class DyingTransport:
         def next_commitment(self):

@@ -307,6 +307,88 @@ def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
     assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
 
 
+def test_members_that_agree_keep_one_replica_object_through_a_summary():
+    from gasman.protocol import PolSummary
+
+    eng = _Engine(no_churn_cfg(n_initial=12, m=24))
+    assert len({id(s.replica) for s in eng.nodes.values()}) == 1, "a replica was dealt per member"
+    deliver, first = eng._on_deliver, []
+
+    def checked_deliver(msg, recipients):
+        if first or not isinstance(msg, PolSummary):
+            return deliver(msg, recipients)
+        before = {v: eng.nodes[v].replica for v in recipients}
+        deliver(msg, recipients)
+        first.append((msg, before, {v: eng.nodes[v].replica for v in recipients}))
+
+    eng._on_deliver = checked_deliver
+    eng.run()
+    (summary, before, after), = first
+    assert len({id(r) for r in before.values()}) == 1
+    assert len({id(r) for r in after.values()}) == 1, "a summary copied a replica per node"
+    recipient = min(before)
+    shared = after[recipient]
+    assert shared is not before[recipient] and shared.fifo[-1].author == summary.sender
+
+
+def _fresh_copy(replica):
+    """An equal replica that shares no object carrying kept results."""
+    from gasman.protocol import Replica
+
+    graph = Graph(replica.graph.vertices, replica.graph.edges)
+    return Replica(graph, HamiltonianCycle(replica.cycle.order), replica.stage, replica.fifo,
+                   replica.stage_history, replica.online_view)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 16),
+    T=st.integers(2, 8),
+    churn=st.tuples(*[st.integers(5, 40).map(lambda p: p / 100)] * 3),
+    connectivity=st.sampled_from(["full_mesh", GEO, GeometricConfig(300.0, 20.0, 0.5, 120.0, 200.0)]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_every_kept_replica_transition_equals_a_fresh_recomputation(n, T, churn, connectivity, seed):
+    # Each insertion and summary a member applies is recomputed on a copy of
+    # its input replica that holds no kept result; a key that leaves out
+    # something the transition reads hands some member a wrong result.  A
+    # member applying what another applied to the same value gets its object.
+    from unittest import mock
+
+    from gasman import simulator
+    from gasman.protocol import NodeState
+
+    engine = _Engine(ScenarioConfig(
+        n_initial=n, m=2 * n, T=float(T), l=5, duration=40.0, seed=seed,
+        churn=ChurnConfig(*churn), connectivity=connectivity,
+    ))
+    results = {}  # (id of the input value, update, now) -> (input value, result)
+
+    def checked(transition):
+        def apply(state, update, cfg, now):
+            before = state.replica
+            fresh = NodeState(state.id, _fresh_copy(before))
+            try:
+                out = transition(state, update, cfg, now)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    transition(fresh, update, cfg, now)
+                raise
+            assert transition(fresh, update, cfg, now) == out
+            assert fresh.replica == state.replica
+            _, result = results.setdefault((id(before), update, now), (before, state.replica))
+            assert result is state.replica, "an equal transition of one value made a second object"
+            return out
+        return apply
+
+    with mock.patch.multiple(
+        simulator,
+        apply_insertion_update=checked(simulator.apply_insertion_update),
+        apply_deletion_update=checked(simulator.apply_deletion_update),
+    ):
+        engine.run()
+
+
 def test_no_graph_outlives_its_run():
     def live_instances():
         gc.collect()
@@ -477,7 +559,7 @@ def test_each_replica_hears_summary_windows_in_order(n, T, churn, connectivity, 
         handle(state, msg)
         if engine.terminated_at is None:
             assert engine.summary_window[state.id] == msg.window
-            before = (list(state.fifo), dict(state.stage_history), state.graph)
+            before = (tuple(state.fifo), dict(state.stage_history), state.graph)
             handle(state, msg)  # the same window again changes nothing
             assert (state.fifo, state.stage_history, state.graph) == before
 
