@@ -6,12 +6,8 @@ geometric disk model where broadcasts flood hop by hop and the secure channel
 only spans a few meters.
 """
 
-from gasman.simulator import (
-    ChurnConfig,
-    GeometricConfig,
-    ScenarioConfig,
-    run_scenario,
-)
+from gasman.scenario import ChurnConfig, GeometricConfig, ScenarioConfig
+from gasman.simulator import run_scenario
 
 # --- full mesh, steady churn --------------------------------------------------
 

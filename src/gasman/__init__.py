@@ -38,14 +38,9 @@ from .protocol import (
     detect_sybil,
     proof_of_life_cycle,
 )
-from .simulator import (
-    ChurnConfig,
-    GeometricConfig,
-    ScenarioConfig,
-    ScenarioError,
-    TrafficMetrics,
-    run_scenario,
-)
+from .radio import TrafficMetrics
+from .scenario import ChurnConfig, GeometricConfig, ScenarioConfig, ScenarioError
+from .simulator import run_scenario
 from .zkp import (
     Commitment,
     HonestProver,

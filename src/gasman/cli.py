@@ -17,13 +17,8 @@ from .graph import (
     HamiltonianCycle,
     build_initial_graph,
 )
-from .simulator import (
-    ChurnConfig,
-    GeometricConfig,
-    ScenarioConfig,
-    ScenarioError,
-    run_scenario,
-)
+from .scenario import ChurnConfig, GeometricConfig, ScenarioConfig, ScenarioError
+from .simulator import run_scenario
 from .zkp import HonestProver, OneBranchCheater, run_proof
 
 

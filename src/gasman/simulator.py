@@ -6,18 +6,9 @@ snapshot) and per-class traffic metrics.  Identical configurations and seeds
 yield byte-identical outputs: time is fixed-point microseconds, every draw
 comes from one seeded generator, and all iteration over node sets is sorted.
 
-Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
-hop; ``geometric`` places nodes on a square, moves them with a random
-waypoint walk, and floods broadcasts over the resulting disk graph.  The
-first broadcast after the positions or the on-line set change (a mobility
-tick, or an insertion that places a node) computes that graph's components
-straight from the members' positions (``flood_components``), so until
-either changes again a broadcast is a lookup (``broadcast_deliver``).  A
-full mesh is the one-component case of the same table: every on-line member
-in one component.  Traffic is accounted per delivery: each node forwards a
-broadcast at most once and every copy a receiver hears is counted at the
-message's encoded size plus a fixed header.  A broadcast then
-reaches its recipients as one delivery event, handled in recipient id order.
+A run follows a ``gasman.scenario`` configuration; what the air reaches and
+what each copy costs is decided in ``gasman.radio``.  A broadcast reaches
+its recipients as one delivery event, handled in recipient id order.
 A membership step (an insertion's start or close, a proof of life's close, a
 re-entry) due while a membership update is still on the air waits until that
 update has landed.  Whether a member is on-line, off-line or deleted is the
@@ -27,16 +18,10 @@ engine's alone to track; replicas never hold it.
 from __future__ import annotations
 
 import heapq
-import json
-import math
-from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from enum import Enum
-from itertools import compress, repeat
-from operator import le, not_
+from dataclasses import dataclass, field, replace
 from random import Random
 from types import MappingProxyType
-from typing import Optional, Union
+from typing import Optional
 
 from .graph import (
     BelowMinimumOrder,
@@ -76,16 +61,17 @@ from .protocol import (
     detect_sybil,
     proof_of_life_cycle,
 )
-from .zkp import HonestProver
-
-TRAFFIC_CLASSES = (
-    "zkp",
-    "proof_of_life",
-    "insertion",
-    "deletion",
-    "graph_transfer",
-    "cycle_transfer",
+from .radio import (
+    Reach,
+    TrafficMetrics,
+    WaypointState,
+    broadcast_deliver,
+    flood_components,
+    reachable,
+    step_mobility,
 )
+from .scenario import GeometricConfig, ScenarioConfig, ScriptedOp, _us
+from .zkp import HonestProver
 
 #: One simulated broadcast/unicast hop, in microseconds.
 HOP_US = 1_000
@@ -111,206 +97,6 @@ _HANDLERS = {
 }
 
 
-class ScenarioError(ValueError):
-    """The scenario configuration is invalid; nothing was simulated."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_node_id(value) -> bool:
-    # Ids travel in the canonical encodings as unsigned 32-bit integers.
-    return _is_int(value) and 0 <= value < 2**32
-
-
-def _is_number(value, scale: int = 1) -> bool:
-    """An int or float, not a bool, that stays a finite float times ``scale``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(float(value) * scale)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-class Reach(Enum):
-    NONE = "none"
-    DATA = "data"
-    DATA_AND_SECURE = "data_and_secure"
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChurnConfig:
-    """Per-second probabilities of one network-wide churn event each."""
-
-    insertion_request: float = 0.0
-    node_turn_off: float = 0.0
-    node_turn_on: float = 0.0
-
-
-@dataclass(frozen=True)
-class GeometricConfig:
-    area_side: float
-    speed_max: float
-    pause: float
-    data_range: float
-    secure_range: float
-
-
-@dataclass(frozen=True)
-class ScriptedOp:
-    """A deterministic event injected at a fixed time.
-
-    ``insert`` may force an explicit id and neighbor group (needed to replay
-    externally recorded traces); ``delete``, ``turn_off`` and ``turn_on``
-    name the affected node.
-    """
-
-    time: float
-    op: str
-    node: Optional[NodeId] = None
-    neighbors: Optional[tuple[NodeId, ...]] = None
-    author: Optional[NodeId] = None
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    n_initial: int
-    m: int
-    T: float
-    l: int
-    duration: float
-    seed: int
-    churn: ChurnConfig = ChurnConfig()
-    connectivity: Union[str, GeometricConfig] = "full_mesh"
-    termination_threshold: int = 3
-    admission_deny_prob: float = 0.0
-    initial_cycle: Optional[tuple[NodeId, ...]] = None
-    script: tuple[ScriptedOp, ...] = ()
-
-    def validate(self) -> None:
-        for name in ("n_initial", "m", "l", "seed", "termination_threshold"):
-            if not _is_int(getattr(self, name)):
-                raise ScenarioError(f"invalid scenario: {name} must be an integer")
-        # Times are simulated in whole microseconds.
-        for name in ("T", "duration"):
-            if not _is_number(getattr(self, name), 1_000_000):
-                raise ScenarioError(f"invalid scenario: {name} must be a finite number")
-        probabilities = (
-            ("insertion_request", self.churn.insertion_request),
-            ("node_turn_off", self.churn.node_turn_off),
-            ("node_turn_on", self.churn.node_turn_on),
-            ("admission_deny_prob", self.admission_deny_prob),
-        )
-        for name, p in probabilities:
-            if not _is_number(p):
-                raise ScenarioError(f"invalid scenario: probability {name} must be a number")
-        if self.n_initial < 4 or self.m < self.n_initial:
-            raise ScenarioError("invalid scenario: need n_initial >= 4 and m >= n_initial")
-        if (2 * self.m) % self.n_initial != 0:
-            raise ScenarioError("invalid scenario: 2m/n must be an integer")
-        if _us(self.T) < 1 or self.duration <= 0 or self.l < 1:
-            raise ScenarioError("invalid scenario: T (at least 1 us), duration and l must be positive")
-        if self.termination_threshold < 3:
-            raise ScenarioError("invalid scenario: termination threshold below 3")
-        for name, p in probabilities:
-            if not 0.0 <= p <= 1.0:
-                raise ScenarioError(f"invalid scenario: probability {name} out of range")
-        if isinstance(self.connectivity, GeometricConfig):
-            geo = self.connectivity
-            lengths = (geo.area_side, geo.speed_max, geo.pause, geo.data_range, geo.secure_range)
-            if not all(_is_number(x) for x in lengths):
-                raise ScenarioError("invalid scenario: geometric parameters must be finite numbers")
-            if min(geo.area_side, geo.speed_max, geo.data_range, geo.secure_range) <= 0:
-                raise ScenarioError("invalid scenario: geometric ranges must be positive")
-            if geo.pause < 0:
-                raise ScenarioError("invalid scenario: pause must be non-negative")
-        elif self.connectivity != "full_mesh":
-            raise ScenarioError("invalid scenario: unknown connectivity mode")
-        if self.initial_cycle is not None:
-            ids = tuple(self.initial_cycle)
-            if not all(_is_node_id(v) for v in ids):
-                raise ScenarioError("invalid scenario: initial_cycle ids must be 32-bit unsigned integers")
-            if len(ids) != self.n_initial or len(set(ids)) != len(ids):
-                raise ScenarioError("invalid scenario: initial_cycle must list n_initial distinct ids")
-        for op in self.script:
-            if op.op not in ("insert", "delete", "turn_off", "turn_on"):
-                raise ScenarioError(f"invalid scenario: unknown scripted op {op.op!r}")
-            if not _is_number(op.time, 1_000_000):
-                raise ScenarioError("invalid scenario: scripted op time must be a finite number")
-            if op.time < 0:
-                raise ScenarioError("invalid scenario: scripted op before time 0")
-            named = (op.node, op.author, *(op.neighbors or ()))
-            if not all(v is None or _is_node_id(v) for v in named):
-                raise ScenarioError("invalid scenario: scripted node ids must be 32-bit unsigned integers")
-
-    def to_json(self) -> str:
-        doc = asdict(self)
-        if isinstance(self.connectivity, GeometricConfig):
-            doc["connectivity"] = {"mode": "geometric", **doc["connectivity"]}
-        else:
-            doc["connectivity"] = {"mode": "full_mesh"}
-        if self.initial_cycle is None:
-            del doc["initial_cycle"]
-        if self.script:
-            # An op names only the fields it sets: no None, no empty neighbors.
-            doc["script"] = [
-                {k: v for k, v in op.items() if v is not None and (k != "neighbors" or v)}
-                for op in doc["script"]
-            ]
-        else:
-            del doc["script"]
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ScenarioError(f"invalid scenario: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ScenarioError("invalid scenario: top level must be an object")
-        churn_doc = doc.get("churn", {})
-        conn_doc = doc.get("connectivity", {"mode": "full_mesh"})
-        script_doc = doc.get("script", [])
-        if not isinstance(churn_doc, dict) or not isinstance(conn_doc, dict):
-            raise ScenarioError("invalid scenario: churn and connectivity must be objects")
-        if not isinstance(script_doc, list) or not all(isinstance(e, dict) for e in script_doc):
-            raise ScenarioError("invalid scenario: script must be a list of objects")
-        try:
-            churn = ChurnConfig(**churn_doc)
-            connectivity = conn_doc.get("mode", "full_mesh")
-            if connectivity == "geometric":
-                connectivity = GeometricConfig(**_fields_of(GeometricConfig, conn_doc))
-            script = tuple(
-                ScriptedOp(**{**_fields_of(ScriptedOp, entry), "neighbors": _ids(entry.get("neighbors"))})
-                for entry in script_doc
-            )
-            parsed = dict(churn=churn, connectivity=connectivity, script=script,
-                          initial_cycle=_ids(doc.get("initial_cycle")))
-            cfg = cls(**{**_fields_of(cls, doc), **parsed})
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"invalid scenario: {exc}") from exc
-        cfg.validate()
-        return cfg
-
-
-def _fields_of(kind, doc: dict) -> dict:
-    """The values ``doc`` gives the fields of the dataclass ``kind``: other keys
-    are ignored, and a field with no default that ``doc`` lacks raises KeyError."""
-    return {f.name: doc[f.name] for f in fields(kind) if f.name in doc or f.default is MISSING}
-
-
-def _ids(value) -> Optional[tuple]:
-    # A missing or empty id list in a scenario file means none.
-    return tuple(value) if value else None
-
-
 # ---------------------------------------------------------------------------
 # Outputs
 # ---------------------------------------------------------------------------
@@ -327,41 +113,6 @@ class TraceEvent:
 
 
 @dataclass
-class TrafficMetrics:
-    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TRAFFIC_CLASSES, 0))
-    bytes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TRAFFIC_CLASSES, 0))
-
-    def record(self, traffic_class: str, size: int, deliveries: int = 1) -> None:
-        self.counts[traffic_class] += deliveries
-        self.bytes[traffic_class] += size * deliveries
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes.values())
-
-    def shares(self) -> dict[str, float]:
-        total = self.total_bytes
-        if total == 0:
-            return dict.fromkeys(TRAFFIC_CLASSES, 0.0)
-        return {cls: self.bytes[cls] / total for cls in TRAFFIC_CLASSES}
-
-    def to_json(self) -> str:
-        shares = self.shares()
-        doc = {
-            "classes": {
-                cls: {
-                    "count": self.counts[cls],
-                    "bytes": self.bytes[cls],
-                    "share": shares[cls],
-                }
-                for cls in TRAFFIC_CLASSES
-            },
-            "total_bytes": self.total_bytes,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-@dataclass
 class ScenarioResult:
     trace: list[TraceEvent]
     metrics: TrafficMetrics
@@ -373,150 +124,11 @@ class ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# Mobility and reachability
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class WaypointState:
-    """A node's place and walk, immutable by convention, not ``frozen=True``.
-
-    A frozen constructor costs four times a slotted one, once per moving node
-    per tick.  Nothing edits a state: the engine replaces its positions dict,
-    ``_spawn_member`` hands a newcomer its author's object, and nothing hashes one.
-    """
-
-    x: float
-    y: float
-    dest_x: Optional[float] = None
-    dest_y: Optional[float] = None
-    speed: float = 0.0
-    pause_until: float = 0.0
-
-
-def step_mobility(
-    positions: dict[NodeId, WaypointState], geo: GeometricConfig, rng: Random, dt: float, now: float
-) -> dict[NodeId, WaypointState]:
-    """Advance every node, in id order, one random-waypoint step of ``dt`` seconds."""
-    uniform, random, hypot = rng.uniform, rng.random, math.hypot
-    side, speed_max, resume = geo.area_side, geo.speed_max, now + geo.pause
-    out = {}
-    for node in sorted(positions):
-        st = positions[node]
-        if now < st.pause_until:
-            out[node] = st
-            continue
-        x, y, dest_x, dest_y, speed = st.x, st.y, st.dest_x, st.dest_y, st.speed
-        if dest_x is None or dest_y is None:
-            # Pause over: pick the next waypoint and a fresh speed in (0, max].
-            dest_x, dest_y = uniform(0.0, side), uniform(0.0, side)
-            speed = speed_max * (1.0 - random())
-        dx, dy = dest_x - x, dest_y - y
-        dist = hypot(dx, dy)
-        step = speed * dt
-        if dist <= step:
-            out[node] = WaypointState(dest_x, dest_y, None, None, 0.0, resume)
-            continue
-        x, y = x + step * dx / dist, y + step * dy / dist
-        out[node] = WaypointState(x, y, dest_x, dest_y, speed, st.pause_until)
-    return out
-
-
-def reachable(
-    a: NodeId,
-    b: NodeId,
-    positions: dict[NodeId, WaypointState],
-    cfg: ScenarioConfig,
-) -> Reach:
-    """Channel classes available between two nodes right now."""
-    if not isinstance(cfg.connectivity, GeometricConfig):
-        return Reach.DATA_AND_SECURE
-    geo = cfg.connectivity
-    pa, pb = positions[a], positions[b]
-    dist = math.hypot(pa.x - pb.x, pa.y - pb.y)
-    if dist <= geo.secure_range:
-        return Reach.DATA_AND_SECURE
-    if dist <= geo.data_range:
-        return Reach.DATA
-    return Reach.NONE
-
-
-#: Each flooding member mapped to its component's sorted members and the
-#: number of copies one broadcast within that component puts on the air.
-Components = dict[NodeId, tuple[tuple[NodeId, ...], int]]
-
-
-def flood_components(
-    members: frozenset[NodeId], positions: dict[NodeId, WaypointState], geo: Optional[GeometricConfig]
-) -> Components:
-    """Flood every component of ``members`` at once, straight from their positions.
-
-    ``geo`` is ``None`` for a full mesh: one component of all members, with
-    ``n * (n - 1)`` deliveries.  Otherwise two members are linked exactly when
-    ``reachable`` gives them a channel: ``math.dist`` here and ``math.hypot``
-    there take CPython's ``vector_norm`` of the same ``fabs(px - qx)`` and
-    ``fabs(py - qy)``, and a distance within the data or the secure range is
-    one within the larger.  Each reached member forwards a broadcast once and
-    every linked member hears each copy, so a broadcast from any member reaches
-    exactly its component and puts twice the component's links on the air.
-    """
-    if geo is None:
-        n = len(members)
-        return dict.fromkeys(members, (tuple(sorted(members)), n * (n - 1)))
-    reach, dist = max(geo.data_range, geo.secure_range), math.dist
-    placed = sorted((positions[v].x, positions[v].y, v) for v in members)
-    points, xs = [(x, y) for x, y, _ in placed], [x for x, _, _ in placed]
-    # Only pairs within ``span`` in x are tried.  ``math.dist`` is at least
-    # the computed x gap less an ulp, and that gap is within half an ulp of
-    # the exact one, so a linked pair's exact x gap is below reach times
-    # 1 + 2**-50; as rounding is monotone, the slack keeps every linked pair
-    # in the window, and ``math.dist`` decides the few extra.
-    span = reach * (1.0 + 1e-9)
-    links = []  # each member's links to the members after it in x order
-    for i, p in enumerate(points):
-        window = points[i + 1:bisect_right(xs, p[0] + span, i + 1)]
-        links.append(sum(map(le, map(dist, repeat(p), window), repeat(reach))))
-    out: Components = {}
-    rest, x_of = list(range(len(points))), xs.__getitem__  # the unvisited, in x order
-    while rest:
-        # Grow a component from the last unvisited member: each member taken
-        # from the frontier costs one distance row over its x-window of ``rest``.
-        start = rest.pop()
-        component, frontier = [start], [start]
-        while frontier and rest:
-            p = points[frontier.pop()]
-            lo = bisect_left(rest, p[0] - span, key=x_of)
-            hi = bisect_right(rest, p[0] + span, lo, key=x_of)
-            window = rest[lo:hi]
-            near = list(map(le, map(dist, repeat(p), map(points.__getitem__, window)), repeat(reach)))
-            if True in near:
-                reached = list(compress(window, near))
-                component += reached
-                frontier += reached
-                rest[lo:hi] = compress(window, map(not_, near))
-        entry = (tuple(sorted(placed[i][2] for i in component)), 2 * sum(links[i] for i in component))
-        out.update(dict.fromkeys(entry[0], entry))
-    return out
-
-
-def broadcast_deliver(sender: NodeId, components: Components) -> tuple[tuple[NodeId, ...], int]:
-    """One broadcast looked up in a ``flood_components`` table: the recipients
-    in id order (the sender's component without the sender) and the number
-    of copies on the air."""
-    component, deliveries = components[sender]
-    i = component.index(sender)
-    return component[:i] + component[i + 1:], deliveries
-
-
-# ---------------------------------------------------------------------------
 # The event engine
 # ---------------------------------------------------------------------------
 
 def _sec(us: int) -> float:
     return us / 1_000_000
-
-
-def _us(seconds: float) -> int:
-    return round(seconds * 1_000_000)
 
 
 def _stagger_us(node: NodeId) -> int:

@@ -31,7 +31,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from gasman.simulator import ChurnConfig, GeometricConfig, ScenarioConfig, _Engine  # noqa: E402
+from gasman.scenario import ChurnConfig, GeometricConfig, ScenarioConfig  # noqa: E402
+from gasman.simulator import _Engine  # noqa: E402
 
 
 def draw_scenario(rng: Random) -> ScenarioConfig:

@@ -41,7 +41,8 @@ from gasman.protocol import (
     detect_sybil,
     proof_of_life_cycle,
 )
-from gasman.simulator import ChurnConfig, ScenarioConfig, _Engine, run_scenario
+from gasman.scenario import ChurnConfig, ScenarioConfig
+from gasman.simulator import _Engine, run_scenario
 from gasman.zkp import HonestProver, OneBranchCheater, run_proof
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gasman.cli import main
-from gasman.simulator import ChurnConfig, ScenarioConfig
+from gasman.scenario import ChurnConfig, ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from gasman import simulator
-from gasman.simulator import ChurnConfig, GeometricConfig, ScenarioConfig
+from gasman.scenario import ChurnConfig, GeometricConfig, ScenarioConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 

@@ -17,21 +17,22 @@ from state_digest import state_digest
 
 from gasman.cli import main as gasman_cli
 from gasman.graph import Graph, HamiltonianCycle
-from gasman.simulator import (
-    ChurnConfig,
-    GeometricConfig,
+from gasman.radio import (
     Reach,
-    ScenarioConfig,
-    ScenarioError,
-    ScriptedOp,
     WaypointState,
     broadcast_deliver,
     flood_components,
     reachable,
-    run_scenario,
     step_mobility,
-    _Engine,
 )
+from gasman.scenario import (
+    ChurnConfig,
+    GeometricConfig,
+    ScenarioConfig,
+    ScenarioError,
+    ScriptedOp,
+)
+from gasman.simulator import _Engine, run_scenario
 
 
 def no_churn_cfg(**overrides):
