@@ -26,6 +26,7 @@ from random import Random
 from typing import Optional
 
 from .graph import NodeId
+from .protocol import Message, PolSummary
 from .scenario import GeometricConfig, ScenarioConfig
 
 TRAFFIC_CLASSES = (
@@ -88,8 +89,8 @@ class WaypointState:
     """A node's place and walk, immutable by convention, not ``frozen=True``.
 
     A frozen constructor costs four times a slotted one, once per moving node
-    per tick.  Nothing edits a state: the engine replaces its positions dict,
-    ``_spawn_member`` hands a newcomer its author's object, and nothing hashes one.
+    per tick.  Nothing edits a state: the radio replaces its positions dict,
+    ``Radio.place`` hands a newcomer its author's object, and nothing hashes one.
     """
 
     x: float
@@ -212,3 +213,67 @@ def broadcast_deliver(sender: NodeId, components: Components) -> tuple[tuple[Nod
     component, deliveries = components[sender]
     i = component.index(sender)
     return component[:i] + component[i + 1:], deliveries
+
+
+class Radio:
+    """One run's air: the connectivity mode, the members' positions, the last
+    flood table and the traffic metrics.  The engine places and moves members
+    here, and puts every message on the air through ``send`` or ``flood``."""
+
+    def __init__(self, cfg: ScenarioConfig, members: list[NodeId], rng: Random):
+        self.cfg = cfg
+        # The connectivity mode, decided once: the geometry, or None for a full mesh.
+        self.geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
+        self.metrics = TrafficMetrics()
+        # Positions are replaced, never edited, so a new dict means new
+        # components.  The last flood table (see ``flood``):
+        # (positions, flooding members, components).
+        self.positions: dict[NodeId, WaypointState] = {}
+        self._flood: tuple = (None, None, None)
+        if self.geo is not None:
+            side = self.geo.area_side
+            for v in members:
+                x, y = rng.uniform(0.0, side), rng.uniform(0.0, side)
+                self.positions[v] = WaypointState(x, y)
+
+    def place(self, node: NodeId, beside: NodeId) -> None:
+        """Insertion requires physical contact: a newcomer stands next to its
+        authenticator, inside secure-channel range."""
+        if self.geo is not None:
+            self.positions = {**self.positions, node: self.positions[beside]}
+
+    def move(self, rng: Random, dt: float, now: float) -> None:
+        self.positions = step_mobility(self.positions, self.geo, rng, dt, now)
+
+    def reaches(self, a: NodeId, b: NodeId) -> bool:
+        return reachable(a, b, self.positions, self.cfg) is not Reach.NONE
+
+    def send(self, msg: Message, src: NodeId, dst: NodeId) -> bool:
+        """Meter one copy from ``src`` to ``dst``, or refuse it (``False``)
+        when the pair shares no channel the message may travel on."""
+        reach = reachable(src, dst, self.positions, self.cfg)
+        if reach is Reach.NONE or (msg.secure_channel and reach is not Reach.DATA_AND_SECURE):
+            return False
+        self.metrics.record(msg.traffic_class, msg.size())
+        return True
+
+    def flood(self, msg: Message, sender: NodeId, online: set[NodeId]) -> tuple[NodeId, ...]:
+        """Flood a broadcast from ``sender`` over the ``online`` members, meter
+        every delivered copy, and give the recipients in id order.  The
+        components are flooded again only when the positions dict is replaced
+        or the flooding members change; else a broadcast is a lookup."""
+        positions, members, components = self._flood
+        flooding = frozenset(online | {sender})
+        if positions is not self.positions or flooding != members:
+            components = flood_components(flooding, self.positions, self.geo)
+            self._flood = (self.positions, flooding, components)
+        recipients, deliveries = broadcast_deliver(sender, components)
+        if not recipients:  # a lone sender puts no copy on the air
+            return recipients
+        # A summary's deletions are metered as deletion traffic.
+        deleting = isinstance(msg, PolSummary) and msg.deletions
+        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
+        if deleting:
+            self.metrics.record("deletion", deletion_part, deliveries)
+        self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
+        return recipients

@@ -1,11 +1,8 @@
 """The scenario file format: what one simulated run is asked to do.
 
-A scenario names the initial group (its size, edge count and, optionally, its
-planted cycle), the proof-of-life period and proof rounds, the churn
-probabilities, the connectivity mode with its geometry, and any scripted
-operations.  ``ScenarioConfig.validate`` rejects what cannot be simulated, and
-the JSON form round-trips through ``to_json`` and ``from_json``.  Times are
-simulated in whole microseconds (``_us``).
+The initial group, the proof-of-life period and rounds, churn, connectivity
+and scripted operations.  ``ScenarioConfig.validate`` rejects what cannot be
+simulated, and the JSON form round-trips.  Times are whole microseconds.
 """
 
 from __future__ import annotations

@@ -61,16 +61,10 @@ from .protocol import (
     detect_sybil,
     proof_of_life_cycle,
 )
-from .radio import (
-    Reach,
-    TrafficMetrics,
-    WaypointState,
-    broadcast_deliver,
-    flood_components,
-    reachable,
-    step_mobility,
-)
-from .scenario import GeometricConfig, ScenarioConfig, ScriptedOp, _us
+# ``perfbench/tracer.py`` probes ``broadcast_deliver``, ``reachable``,
+# ``step_mobility`` and ``heapq`` under their names in this module.
+from .radio import Radio, TrafficMetrics, broadcast_deliver, reachable, step_mobility  # noqa: F401
+from .scenario import ScenarioConfig, ScriptedOp, _us
 from .zkp import HonestProver
 
 #: One simulated broadcast/unicast hop, in microseconds.
@@ -164,7 +158,6 @@ class _Engine:
         self.now_us = 0
         self._heap: list[tuple[int, int, str, tuple]] = []
         self.trace: list[TraceEvent] = []
-        self.metrics = TrafficMetrics()
         self.terminated_at: Optional[float] = None
 
         graph, cycle = self._dealer_setup()
@@ -187,20 +180,9 @@ class _Engine:
         self.pending_insert: Optional[_Insertion] = None
         # When the last membership update on the air lands (see ``_act``).
         self._update_lands_us = 0
-        # The connectivity mode, decided once: the geometry, or None for a full mesh.
-        self._geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
-        # Positions are replaced, never edited, so a new dict means new
-        # components.  The last flood table (see ``_broadcast``):
-        # (positions, flooding members, components).
-        self.positions: dict[NodeId, WaypointState] = {}
-        self._flood: tuple = (None, None, None)
-        if self._geo is not None:
-            side = self._geo.area_side
-            for v in sorted(self.nodes):
-                x, y = self.rng.uniform(0.0, side), self.rng.uniform(0.0, side)
-                self.positions[v] = WaypointState(x, y)
+        self.radio = Radio(cfg, sorted(self.nodes), self.rng)
         duration_us = _us(cfg.duration)
-        self._moves = duration_us // MOVE_DT_US if self.positions else 0
+        self._moves = duration_us // MOVE_DT_US if self.radio.geo is not None else 0
         self._churns = min(int(cfg.duration), duration_us // 1_000_000)
 
         members = ", ".join(str(v) for v in sorted(self.nodes))
@@ -258,37 +240,16 @@ class _Engine:
             self.terminated_at = self.now_s
             self._trace(f"Network terminated: {online} nodes on-line")
 
-    # -- traffic accounting ------------------------------------------------
-
-    def _meter_unicast(self, msg: Message, src: NodeId, dst: NodeId) -> bool:
-        reach = reachable(src, dst, self.positions, self.cfg)
-        if reach is Reach.NONE or (msg.secure_channel and reach is not Reach.DATA_AND_SECURE):
-            return False
-        self.metrics.record(msg.traffic_class, msg.size())
-        return True
-
     def _broadcast(self, msg: Message, sender: NodeId) -> None:
-        """Flood a broadcast from ``sender`` over the on-line nodes, meter every
-        delivered copy, and schedule its delivery.  The components are flooded
-        again only when the positions dict is replaced or the flooding members
-        change; else a broadcast is a lookup."""
-        positions, members, components = self._flood
-        flooding = frozenset(self.online | {sender})
-        if positions is not self.positions or flooding != members:
-            components = flood_components(flooding, self.positions, self._geo)
-            self._flood = (self.positions, flooding, components)
-        recipients, deliveries = broadcast_deliver(sender, components)
-        if not recipients:  # a lone sender puts no copy on the air
+        """Flood a broadcast from ``sender`` over the on-line nodes and
+        schedule its delivery to the recipients the radio gives."""
+        recipients = self.radio.flood(msg, sender, self.online)
+        if not recipients:
             return
-        # A summary's deletions are metered as deletion traffic, and they make
-        # it a membership update, as every insertion broadcast is.
-        deleting = isinstance(msg, PolSummary) and msg.deletions
-        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
-        if deleting:
-            self.metrics.record("deletion", deletion_part, deliveries)
-        self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
         self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
-        if deleting or isinstance(msg, NeighborSetBroadcast):
+        # A summary's deletions make it a membership update, as every
+        # insertion broadcast is.
+        if isinstance(msg, NeighborSetBroadcast) or isinstance(msg, PolSummary) and msg.deletions:
             self._update_lands_us = self.now_us + HOP_US
 
     # -- scheduling --------------------------------------------------------
@@ -320,13 +281,13 @@ class _Engine:
             self.now_us = t_us
             self._act(kind, payload)
         outcome = "terminated" if self.terminated_at is not None else "completed"
-        return ScenarioResult(self.trace, self.metrics, outcome, self.terminated_at)
+        return ScenarioResult(self.trace, self.radio.metrics, outcome, self.terminated_at)
 
     # -- event handlers ----------------------------------------------------
 
     def _on_move(self, tick: int) -> None:
         self._queue_tick("move", tick + 1)
-        self.positions = step_mobility(self.positions, self._geo, self.rng, _sec(MOVE_DT_US), self.now_s)
+        self.radio.move(self.rng, _sec(MOVE_DT_US), self.now_s)
 
     def _on_churn(self, second: int) -> None:
         self._queue_tick("churn", second + 1)
@@ -532,7 +493,7 @@ class _Engine:
         ack = InsertionAck(
             sender=node, stage=state.stage, sent_at=self.now_s, proposed_id=proposed
         )
-        if self._meter_unicast(ack, node, author):
+        if self.radio.send(ack, node, author):
             self._push(self.now_us + HOP_US, "deliver", (ack, (author,)))
 
     def _handle_insertion_ack(self, state: NodeState, msg: InsertionAck) -> None:
@@ -574,14 +535,11 @@ class _Engine:
             return  # rejected; flag already set where applicable
 
     def _spawn_member(self, auth: NodeState, outcome: InsertCommitted, new_id: NodeId) -> None:
-        if self._geo is not None:
-            # Insertion requires physical contact: the newcomer stands next
-            # to its authenticator, inside secure-channel range.
-            self.positions = {**self.positions, new_id: self.positions[auth.id]}
-        if not self._meter_unicast(outcome.graph_transfer, auth.id, new_id):
+        self.radio.place(new_id, auth.id)
+        if not self.radio.send(outcome.graph_transfer, auth.id, new_id):
             self._trace(f"Node {new_id} unreachable; graph transfer dropped")
             return
-        if not self._meter_unicast(outcome.cycle_transfer, auth.id, new_id):
+        if not self.radio.send(outcome.cycle_transfer, auth.id, new_id):
             self._trace(f"Node {new_id} out of secure range; cycle transfer dropped")
             return
         member = NodeState.initial(
@@ -649,7 +607,7 @@ class _Engine:
             return
         state = self.nodes[node]
         verifier_id = self._draw(self.online)
-        if verifier_id is None or reachable(node, verifier_id, self.positions, self.cfg) is Reach.NONE:
+        if verifier_id is None or not self.radio.reaches(node, verifier_id):
             self.awaiting_reentry.add(node)
             return
         verifier = self.nodes[verifier_id]
@@ -658,11 +616,11 @@ class _Engine:
             sender=node, stage=state.stage, sent_at=self.now_s,
             claimed_id=node, claimed_graph=state.graph,
         )
-        self._meter_unicast(request, node, verifier_id)
+        self.radio.send(request, node, verifier_id)
         prover = _MeteredProver(self, node, verifier_id, state)
         decision = access_control(verifier, request, prover, self.pcfg, self.rng, self.now_s)
         if isinstance(decision, Granted):
-            self._meter_unicast(decision.grant, verifier_id, node)
+            self.radio.send(decision.grant, verifier_id, node)
             apply_catch_up(state, decision.grant, self.pcfg)
             self.offline.remove(node)
             self.online.add(node)
@@ -715,7 +673,7 @@ class _MeteredProver(HonestProver):
 
     def _send(self, kind: type[Message], src: NodeId, dst: NodeId, **body) -> None:
         msg = kind(sender=src, stage=self._stage, sent_at=self._engine.now_s, **body)
-        if not self._engine._meter_unicast(msg, src, dst):
+        if not self._engine.radio.send(msg, src, dst):
             raise ConnectionError(f"Node {dst} out of range of Node {src}")
 
     def next_commitment(self):

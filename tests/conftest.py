@@ -10,24 +10,27 @@ if str(SRC) not in sys.path:
 def record_air(engine) -> list:
     """Return a list that collects every message ``engine`` puts on the air.
 
-    The engine keeps no message log; its ``TrafficMetrics`` only count.  This
-    wraps the engine's two send paths on the instance: every broadcast is
-    logged, and a unicast only when the channel carried it.  The proof
-    transport calls the engine through an attribute, so it sees the wrapper.
+    The engine keeps no message log; its radio's ``TrafficMetrics`` only
+    count.  This wraps the radio's two send paths on the instance: every
+    broadcast is logged, and a unicast only when the channel carried it.  The
+    engine and the proof transport call the radio through an attribute, so
+    they see the wrappers.
     """
     air: list = []
-    broadcast, meter_unicast = engine._broadcast, engine._meter_unicast
+    radio = engine.radio
+    flood, send = radio.flood, radio.send
 
-    def logged_broadcast(msg, sender):
-        broadcast(msg, sender)
+    def logged_flood(msg, sender, online):
+        recipients = flood(msg, sender, online)
         air.append(msg)
+        return recipients
 
-    def logged_unicast(msg, src, dst):
-        sent = meter_unicast(msg, src, dst)
+    def logged_send(msg, src, dst):
+        sent = send(msg, src, dst)
         if sent:
             air.append(msg)
         return sent
 
-    engine._broadcast = logged_broadcast
-    engine._meter_unicast = logged_unicast
+    radio.flood = logged_flood
+    radio.send = logged_send
     return air

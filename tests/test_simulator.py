@@ -887,9 +887,9 @@ def test_golden_digest_of_the_final_positions():
     assert result.trace_text().count("Insertion of Node") == 7
     text = "".join(
         repr((v, p.x, p.y, p.dest_x, p.dest_y, p.speed, p.pause_until)) + "\n"
-        for v, p in sorted(eng.positions.items())
+        for v, p in sorted(eng.radio.positions.items())
     )
-    assert len(eng.positions) == 44
+    assert len(eng.radio.positions) == 44
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cb4a6df5c1a5897780c037e533b5cebb9e212343b31fc063e1b3f79653f1c7e4"
     )
@@ -913,9 +913,9 @@ def test_no_step_edits_a_state_in_place():
         for obj, before in seen.values():
             assert fields(obj) == before
         # Objects stay referenced here, so no id is reused while checked.
-        for p in eng.positions.values():
+        for p in eng.radio.positions.values():
             seen.setdefault(id(p), (p, fields(p)))
-        shared.append(len(eng.positions) - len({id(p) for p in eng.positions.values()}))
+        shared.append(len(eng.radio.positions) - len({id(p) for p in eng.radio.positions.values()}))
 
     def checked_move(tick, move=eng._on_move):
         check()
@@ -1053,36 +1053,37 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
 
     engine = _Engine(no_churn_cfg(connectivity=GEO))
     paused = 1e9  # nobody moves unless given a waypoint
-    engine.positions = {
+    radio = engine.radio
+    radio.positions = {
         v: WaypointState(x=200.0 * v, y=0.0, pause_until=paused) for v in range(8)
     }
     msg = PolInitiate(sender=0, stage=0, sent_at=0.0, window=1)
     engine._broadcast(msg, 0)
     assert sent_to(engine) == (1, 2, 3, 4, 5, 6, 7)
     # Same positions, new components: node 3 off-line cuts the chain.
-    positions, components = engine._flood[0], engine._flood[2]
+    positions, components = radio._flood[0], radio._flood[2]
     engine._turn_off(3)
     engine._broadcast(msg, 0)
-    assert engine._flood[0] is positions
-    assert engine._flood[2] is not components
+    assert radio._flood[0] is positions
+    assert radio._flood[2] is not components
     assert sent_to(engine) == (1, 2)
     # A move tick takes node 2 out of range of node 1: new positions, a new flood.
     # Its waypoint is set in place, so that only the tick replaces the positions.
-    components = engine._flood[2]
-    engine.positions[2] = WaypointState(
+    components = radio._flood[2]
+    radio.positions[2] = WaypointState(
         x=400.0, y=0.0, dest_x=400.0, dest_y=5000.0, speed=2000.0
     )
     engine._on_move(1)
     engine._broadcast(msg, 0)
-    assert engine._flood[0] is engine.positions is not positions
-    assert engine._flood[2] is not components
+    assert radio._flood[0] is radio.positions is not positions
+    assert radio._flood[2] is not components
     assert sent_to(engine) == (1,)
     # Deliveries are metered from the cached flood: 7 * 2 + 2 * 2 + 1 * 2 copies.
-    assert engine.metrics.counts["proof_of_life"] == 14 + 4 + 2
+    assert radio.metrics.counts["proof_of_life"] == 14 + 4 + 2
     # Neither changed since: the next broadcast keeps the components.
-    components = engine._flood[2]
+    components = radio._flood[2]
     engine._broadcast(msg, 0)
-    assert engine._flood[2] is components
+    assert radio._flood[2] is components
 
 
 def test_neighbor_table_links_within_either_range():
@@ -1119,19 +1120,20 @@ def test_secure_channel_never_crosses_a_data_only_pair():
     from gasman.protocol import CycleTransfer
 
     engine = _Engine(no_churn_cfg(connectivity=GEO))
-    engine.positions = place({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (3.0, 0.0)})
+    radio = engine.radio
+    radio.positions = place({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (3.0, 0.0)})
     air = record_air(engine)
-    assert reachable(0, 1, engine.positions, engine.cfg) is Reach.DATA
+    assert reachable(0, 1, radio.positions, engine.cfg) is Reach.DATA
     transfer = CycleTransfer(
         sender=0, stage=0, sent_at=0.0, cycle=engine.nodes[0].cycle
     )
     # 100 m apart the pair shares only the data channel: refused, unmetered.
-    assert not engine._meter_unicast(transfer, 0, 1)
-    assert engine.metrics.counts["cycle_transfer"] == 0 and air == []
+    assert not radio.send(transfer, 0, 1)
+    assert radio.metrics.counts["cycle_transfer"] == 0 and air == []
     # 3 m apart it is within secure range.
-    assert engine._meter_unicast(transfer, 0, 2)
-    assert engine.metrics.counts["cycle_transfer"] == 1
-    assert engine.metrics.bytes["cycle_transfer"] == transfer.size()
+    assert radio.send(transfer, 0, 2)
+    assert radio.metrics.counts["cycle_transfer"] == 1
+    assert radio.metrics.bytes["cycle_transfer"] == transfer.size()
     assert air == [transfer]
 
 
@@ -1142,12 +1144,12 @@ def test_a_proof_message_the_channel_refuses_aborts_the_reentry():
         ScriptedOp(time=2.0, op="turn_off", node=3),
         ScriptedOp(time=8.0, op="turn_on", node=3),
     )))
-    meter_unicast = engine._meter_unicast
+    send = engine.radio.send
 
     def refuse_responses(msg, src, dst):
-        return not isinstance(msg, ZkpResponse) and meter_unicast(msg, src, dst)
+        return not isinstance(msg, ZkpResponse) and send(msg, src, dst)
 
-    engine._meter_unicast = refuse_responses
+    engine.radio.send = refuse_responses
     result = engine.run()
     text = result.trace_text()
     assert "8.04\tNode 3 is denied access (protocol aborted)\t\n" in text
@@ -1170,7 +1172,7 @@ def test_partitioned_minority_is_deleted_by_the_quorum_side():
     engine = _Engine(cfg)
     near = {v: (float(v), 0.0) for v in range(5)}
     far = {v: (9000.0 + v, 0.0) for v in range(5, 8)}
-    engine.positions = place({**near, **far})
+    engine.radio.positions = place({**near, **far})
     result = engine.run()
     assert "is deleted" in result.trace_text()
     majority = engine.nodes[0]
@@ -1189,7 +1191,7 @@ def test_evenly_split_partition_aborts_instead_of_deleting():
     engine = _Engine(cfg)
     near = {v: (float(v), 0.0) for v in range(4)}
     far = {v: (9000.0 + v, 0.0) for v in range(4, 8)}
-    engine.positions = place({**near, **far})
+    engine.radio.positions = place({**near, **far})
     result = engine.run()
     text = result.trace_text()
     assert "aborted" in text
