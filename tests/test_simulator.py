@@ -18,6 +18,7 @@ from state_digest import state_digest
 from gasman.cli import main as gasman_cli
 from gasman.graph import Graph, HamiltonianCycle
 from gasman.radio import (
+    Radio,
     Reach,
     WaypointState,
     broadcast_deliver,
@@ -1041,6 +1042,29 @@ def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
     for v in sorted(members):
         _, forwarders, deliveries = pairwise_flood(v, set(members), positions, cfg)
         assert components[v] == (tuple(sorted(forwarders)), deliveries)
+
+
+def test_a_sender_that_is_not_on_line_still_floods():
+    # An initiator that its own summary deleted, or a forger, is not on-line
+    # yet floods: the broadcast reaches every on-line member of its
+    # component, and every copy heard within that component is metered.
+    from gasman.protocol import PolInitiate
+
+    msg = PolInitiate(sender=1, stage=0, sent_at=0.0, window=1)
+    radio = Radio(geo_cfg(), [], Random(0))
+    # 100 m apart in a 250 m data range: links 0-1, 0-2, 1-2, 1-3 and 2-3.
+    radio.positions = place(
+        {0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (300, 0), 4: (1000, 0), 5: (2000, 0)}
+    )
+    assert radio.flood(msg, 1, {0, 2, 3, 4}) == (0, 2, 3)
+    assert radio.metrics.counts["proof_of_life"] == 5 * 2
+    # A lone sender reaches no one and meters nothing.
+    assert radio.flood(msg, 5, {0, 2, 3, 4}) == ()
+    assert radio.metrics.counts["proof_of_life"] == 5 * 2
+    # On a full mesh a forger with no position reaches every on-line member.
+    mesh = Radio(no_churn_cfg(), [], Random(0))
+    assert mesh.flood(msg, 10**6, set(range(8))) == tuple(range(8))
+    assert mesh.metrics.counts["proof_of_life"] == 9 * 8
 
 
 def sent_to(engine):
