@@ -147,6 +147,20 @@ class _Insertion:
     acks: set[NodeId] = field(default_factory=set)
 
 
+@dataclass
+class _Member(NodeState):
+    """A member as the engine holds it: its node state, the highest
+    proof-of-life windows it ran or heard run, answered and applied (-1 for
+    none), and when it last showed life and last turned off, in engine
+    microseconds.  A newcomer on a reused id is a new record: it starts fresh."""
+
+    last_proof_us: int = 0
+    handled_window: int = -1
+    answered_window: int = -1
+    summary_window: int = -1
+    turn_off_us: int = 0
+
+
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
@@ -163,17 +177,12 @@ class _Engine:
         graph, cycle = self._dealer_setup()
         # Every member starts from one dealt replica value.
         dealt = Replica.initial(graph, cycle)
-        self.nodes: dict[NodeId, NodeState] = {v: NodeState(v, dealt) for v in sorted(graph.vertices)}
+        self.nodes: dict[NodeId, _Member] = {v: _Member(v, dealt) for v in sorted(graph.vertices)}
         # The engine alone knows where each member is in its life cycle: a
         # node in neither set is deleted.  Replicas never see these sets.
         self.online: set[NodeId] = set(self.nodes)
         self.offline: set[NodeId] = set()
-        self.last_proof_us: dict[NodeId, int] = {v: 0 for v in self.nodes}
-        self.handled_window: dict[NodeId, int] = {}
-        self.answered_window: dict[NodeId, int] = {}
-        self.summary_window: dict[NodeId, int] = {}
         self.awaiting_reentry: set[NodeId] = set()
-        self.turn_off_us: dict[NodeId, int] = {}
         self.last_summary_us: int = -1
         self.last_summary_alive: frozenset[NodeId] = frozenset()
         self.pending_pol: dict[NodeId, _PolWindow] = {}
@@ -267,7 +276,7 @@ class _Engine:
             getattr(self, f"_on_{kind}")(*payload)
 
     def _schedule_pol_check(self, node: NodeId) -> None:
-        t = self.last_proof_us[node] + _us(self.cfg.T) + _stagger_us(node)
+        t = self.nodes[node].last_proof_us + _us(self.cfg.T) + _stagger_us(node)
         self._push(max(t, self.now_us + 1), "pol_check", (node,))
 
     # -- main loop ---------------------------------------------------------
@@ -339,15 +348,15 @@ class _Engine:
             return
         state = self.nodes[node]
         T_us = _us(self.cfg.T)
-        if self.now_us - self.last_proof_us[node] <= T_us:
+        if self.now_us - state.last_proof_us <= T_us:
             self._schedule_pol_check(node)
             return
         window = self.now_us // T_us
-        if self.handled_window.get(node, -1) >= window:
+        if state.handled_window >= window:
             # Someone else is running this window; check again next window.
             self._push((window + 1) * T_us + _stagger_us(node), "pol_check", (node,))
             return
-        self.handled_window[node] = window
+        state.handled_window = window
         self._trace(f"Proof of life started by Node {node}")
         self.pending_pol[node] = _PolWindow(window, self.now_us)
         msg = PolInitiate(
@@ -356,10 +365,8 @@ class _Engine:
         self._broadcast(msg, node)
         self._push(self.now_us + COLLECT_CLOSE_US, "pol_close", (node, window))
 
-    def _handle_pol_initiate(self, state: NodeState, msg: PolInitiate) -> None:
-        self.handled_window[state.id] = max(
-            self.handled_window.get(state.id, -1), msg.window
-        )
+    def _handle_pol_initiate(self, state: _Member, msg: PolInitiate) -> None:
+        state.handled_window = max(state.handled_window, msg.window)
         pending = self.pending_pol.get(state.id)
         if pending is not None and pending.window == msg.window:
             # Two initiators raced within a hop: the earlier broadcast wins
@@ -368,9 +375,9 @@ class _Engine:
                 self.pending_pol.pop(state.id)
             else:
                 return
-        if self.answered_window.get(state.id, -1) >= msg.window:
+        if state.answered_window >= msg.window:
             return
-        self.answered_window[state.id] = msg.window
+        state.answered_window = msg.window
         latency = self.rng.randrange(ANSWER_LATENCY_US)
         self._push(self.now_us + latency, "pol_answer_send", (state.id, msg.window))
 
@@ -378,7 +385,7 @@ class _Engine:
         if node not in self.online:
             return
         state = self.nodes[node]
-        self.last_proof_us[node] = self.now_us
+        state.last_proof_us = self.now_us
         answer = PolAnswer(
             sender=node, stage=state.stage, sent_at=self.now_s,
             claimed_id=node, window=window,
@@ -401,7 +408,7 @@ class _Engine:
         if pending is None or node not in self.online:
             return
         state = self.nodes[node]
-        self.last_proof_us[node] = self.now_us
+        state.last_proof_us = self.now_us
         outcome = proof_of_life_cycle(
             state, pending.answers.values(), self.pcfg, self.now_s, window=window
         )
@@ -424,16 +431,16 @@ class _Engine:
         self._schedule_pol_check(node)
         self._schedule_reentries()
 
-    def _handle_pol_summary(self, state: NodeState, msg: PolSummary) -> None:
+    def _handle_pol_summary(self, state: _Member, msg: PolSummary) -> None:
         # A summary of window w leaves after w*T plus the answer collection, so
         # a replica hears windows in order and a repeat is of its highest one.  A
         # scripted deletion, labelled when the script fires, can land before the
         # late close of the window below, and that summary is no repeat.
-        if msg.window == self.summary_window.get(state.id):
+        if msg.window == state.summary_window:
             return
         self._apply_summary(state, msg, traced=False)
 
-    def _apply_summary(self, state: NodeState, summary: PolSummary, traced: bool) -> None:
+    def _apply_summary(self, state: _Member, summary: PolSummary, traced: bool) -> None:
         before = state.cycle
         if state.id in summary.deletions:  # a replica told it is silent is gone
             self.online.discard(state.id)
@@ -443,7 +450,7 @@ class _Engine:
             self.terminated_at = self.now_s
             self._trace("Network terminated: graph below minimum order")
             return
-        self.summary_window[state.id] = max(self.summary_window.get(state.id, -1), summary.window)
+        state.summary_window = max(state.summary_window, summary.window)
         snapshot = before
         for victim in removed:
             self.online.discard(victim)
@@ -542,24 +549,16 @@ class _Engine:
         if not self.radio.send(outcome.cycle_transfer, auth.id, new_id):
             self._trace(f"Node {new_id} out of secure range; cycle transfer dropped")
             return
-        member = NodeState.initial(
-            new_id, outcome.graph_transfer.graph, outcome.cycle_transfer.cycle, self.now_s
-        )
-        member.replica = replace(
-            member.replica,
+        replica = replace(
+            Replica.initial(outcome.graph_transfer.graph, outcome.cycle_transfer.cycle, self.now_s),
             stage=auth.stage,
             stage_history=MappingProxyType({auth.stage: auth.stage_history[auth.stage]}),
             online_view=auth.online_view,
         )
-        # A reused id replaces whatever node held it, windows too.  Old windows
-        # all precede the newcomer's first check, a full T away; only a second
-        # proof of life or summary of one (a partition can run it) read them.
-        self.nodes[new_id] = member
-        for windows in (self.handled_window, self.answered_window, self.summary_window):
-            windows.pop(new_id, None)
+        # A reused id replaces whatever node held it, with its windows and times.
+        self.nodes[new_id] = _Member(new_id, replica, last_proof_us=self.now_us)
         self.online.add(new_id)
         self.offline.discard(new_id)
-        self.last_proof_us[new_id] = self.now_us
         self._schedule_pol_check(new_id)
 
     # -- churn -------------------------------------------------------------
@@ -574,7 +573,7 @@ class _Engine:
             return
         self.online.remove(node)
         self.offline.add(node)
-        self.turn_off_us[node] = self.now_us
+        self.nodes[node].turn_off_us = self.now_us
         self._trace(f"Node {node} turns off")
         self._check_termination()
 
@@ -592,7 +591,7 @@ class _Engine:
     def _absence_witnessed(self, node: NodeId) -> bool:
         """True once a summary taken after the node fell silent excluded it."""
         return (
-            self.last_summary_us > self.turn_off_us.get(node, 0)
+            self.last_summary_us > self.nodes[node].turn_off_us
             and node not in self.last_summary_alive
         )
 
@@ -624,7 +623,7 @@ class _Engine:
             apply_catch_up(state, decision.grant, self.pcfg)
             self.offline.remove(node)
             self.online.add(node)
-            self.last_proof_us[node] = self.now_us
+            state.last_proof_us = self.now_us
             self._schedule_pol_check(node)
             self._trace(f"Node {node} re-enters the network")
         elif decision.reason == "duplicate identity":

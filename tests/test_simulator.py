@@ -7,6 +7,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from operator import attrgetter
 from random import Random
 
 import pytest
@@ -33,7 +34,7 @@ from gasman.scenario import (
     ScenarioError,
     ScriptedOp,
 )
-from gasman.simulator import _Engine, run_scenario
+from gasman.simulator import _Engine, _Member, run_scenario
 
 
 def no_churn_cfg(**overrides):
@@ -489,23 +490,26 @@ def test_the_engine_moves_a_returning_node_between_its_sets(
 
 def test_a_newcomer_on_a_reused_id_starts_with_no_windows():
     # Node 3 takes part in the first proofs of life, is deleted, and its id
-    # is given to a newcomer, which must not inherit the old node's windows.
+    # is given to a newcomer, a new record that does not inherit the old
+    # node's windows and last showed life when it joined.
     script = (
         ScriptedOp(time=10.0, op="delete", node=3),
         ScriptedOp(time=11.0, op="insert", node=3, author=0),
     )
     eng = _Engine(no_churn_cfg(duration=12.0, script=script))
-    tables = (eng.handled_window, eng.answered_window, eng.summary_window)
+    windows = attrgetter("handled_window", "answered_window", "summary_window")
     spawned = []
 
     def checked_spawn(auth, outcome, new_id, spawn=eng._spawn_member):
-        before = [new_id in table for table in tables]
+        old = eng.nodes[new_id]
         spawn(auth, outcome, new_id)
-        spawned.append((new_id, before, [new_id in table for table in tables]))
+        new = eng.nodes[new_id]
+        spawned.append((new_id, [w >= 0 for w in windows(old)], type(new) is _Member and new is not old,
+                        windows(new), new.last_proof_us == eng.now_us))
 
     eng._spawn_member = checked_spawn
     eng.run()
-    assert spawned == [(3, [True, True, True], [False, False, False])]
+    assert spawned == [(3, [True, True, True], True, (-1, -1, -1), True)]
     assert eng.nodes[3].stage == eng.nodes[0].stage == 2 and 3 in eng.online
 
 
@@ -556,11 +560,11 @@ def test_each_replica_hears_summary_windows_in_order(n, T, churn, connectivity, 
     handle = engine._handle_pol_summary
 
     def checked_handle(state, msg):
-        applied = engine.summary_window.get(state.id, -1)
+        applied = state.summary_window
         assert msg.window >= applied, f"node {state.id} heard window {msg.window} after {applied}"
         handle(state, msg)
         if engine.terminated_at is None:
-            assert engine.summary_window[state.id] == msg.window
+            assert state.summary_window == msg.window
             before = (tuple(state.fifo), dict(state.stage_history), state.graph)
             handle(state, msg)  # the same window again changes nothing
             assert (state.fifo, state.stage_history, state.graph) == before
@@ -582,7 +586,7 @@ def test_a_late_summary_after_a_scripted_deletion_is_no_repeat():
     late = []
 
     def checked_handle(state, msg):
-        below = msg.window < engine.summary_window.get(state.id, -1)
+        below = msg.window < state.summary_window
         handle(state, msg)
         if below:
             late.append(state.fifo[-1].author == msg.sender and state.fifo[-1].timestamp == engine.now_s)
@@ -693,10 +697,25 @@ def membership(engine, node):
     return "offline" if node in engine.offline else "deleted"
 
 
+def run_hash(cfg: ScenarioConfig) -> bytes:
+    """One sha256 of a run: its trace, its metrics, and every node's
+    membership, stage, flags, on-line view and instance."""
+    engine = _Engine(cfg)
+    result = engine.run()
+    h = hashlib.sha256()
+    h.update(result.trace_text().encode("utf-8"))
+    h.update(result.metrics.to_json().encode("utf-8"))
+    for v in sorted(engine.nodes):
+        s = engine.nodes[v]
+        h.update(repr((v, membership(engine, v), s.stage, sorted(s.sybil_flags),
+                       sorted(s.online_view))).encode("utf-8"))
+        h.update(s.fingerprint())
+    return h.digest()
+
+
 def test_golden_digest_over_a_grid_of_churny_scenarios():
-    # Frozen over 80 scenarios: the trace, the metrics and every node's
-    # membership, stage, flags, on-line view and instance.  An engine change
-    # that keeps behaviour keeps this one sha256.
+    # Frozen over 80 scenarios, each hashed by ``run_hash``.  An engine
+    # change that keeps behaviour keeps this one sha256.
     geometries = [
         "full_mesh",
         GeometricConfig(500.0, 20.0, 0.5, 250.0, 5.0),
@@ -706,27 +725,16 @@ def test_golden_digest_over_a_grid_of_churny_scenarios():
     churns = [(0.2, 0.2, 0.2), (0.5, 0.3, 0.3)]
     total = hashlib.sha256()
     for connectivity, n, churn, seed in itertools.product(geometries, (12, 16), churns, range(5)):
-        cfg = ScenarioConfig(
+        total.update(run_hash(ScenarioConfig(
             n_initial=n, m=2 * n, T=5.0, l=5, duration=100.0, seed=seed,
             churn=ChurnConfig(*churn), connectivity=connectivity,
-        )
-        engine = _Engine(cfg)
-        result = engine.run()
-        h = hashlib.sha256()
-        h.update(result.trace_text().encode("utf-8"))
-        h.update(result.metrics.to_json().encode("utf-8"))
-        for v in sorted(engine.nodes):
-            s = engine.nodes[v]
-            h.update(repr((v, membership(engine, v), s.stage, sorted(s.sybil_flags),
-                           sorted(s.online_view))).encode("utf-8"))
-            h.update(s.fingerprint())
-        total.update(h.digest())
+        )))
     assert total.hexdigest() == "3f277486e0f6f78787c8525f147df8a4e91b870be7b94efec39943365f080d75"
 
 
 def test_golden_digest_over_scripted_scenarios():
     # Frozen over 20 scenarios with light churn and scripted insertions,
-    # deletions, turn-offs and turn-ons, hashed like the grid above.  Those
+    # deletions, turn-offs and turn-ons, each hashed by ``run_hash``.  Those
     # with an even seed start a second insertion 0.3035 s after the first,
     # inside the hop of its broadcast, so that start waits for it to land.
     def scripted(n, seed):
@@ -743,22 +751,11 @@ def test_golden_digest_over_scripted_scenarios():
     geometries = ["full_mesh", GeometricConfig(500.0, 20.0, 0.5, 250.0, 5.0)]
     total = hashlib.sha256()
     for connectivity, n, seed in itertools.product(geometries, (12, 16), range(5)):
-        cfg = ScenarioConfig(
+        total.update(run_hash(ScenarioConfig(
             n_initial=n, m=2 * n, T=5.0, l=5, duration=60.0, seed=seed,
             churn=ChurnConfig(0.05, 0.05, 0.05), connectivity=connectivity,
             script=scripted(n, seed),
-        )
-        engine = _Engine(cfg)
-        result = engine.run()
-        h = hashlib.sha256()
-        h.update(result.trace_text().encode("utf-8"))
-        h.update(result.metrics.to_json().encode("utf-8"))
-        for v in sorted(engine.nodes):
-            s = engine.nodes[v]
-            h.update(repr((v, membership(engine, v), s.stage, sorted(s.sybil_flags),
-                           sorted(s.online_view))).encode("utf-8"))
-            h.update(s.fingerprint())
-        total.update(h.digest())
+        )))
     assert total.hexdigest() == "3221c4fad94bc7ab0e143d621da76ab9e239d8ca91512d9b9c7e1dd643487c78"
 
 
