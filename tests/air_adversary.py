@@ -8,6 +8,8 @@ range can put any of them on the air.  This adversary hears every broadcast
 of a run, and at chosen simulated times puts forged messages on the air
 through the engine's one broadcast entry, ``_Engine._broadcast``: the radio
 floods a forgery as it floods any member's broadcast, and meters its copies.
+In a geometric run the radio floods only from a placed sender, so a forger
+first stands beside a member (``stand``).
 
 Standard library only; no part of gasman uses it.
 """
@@ -32,14 +34,22 @@ def forge(engine, msg) -> None:
     engine._broadcast(msg, msg.sender)
 
 
-def overhear(engine, hear: Callable[[object], None]) -> None:
-    """Call ``hear(msg)`` for every broadcast the radio puts on the air."""
+def stand(engine, forger: int, beside: int) -> None:
+    """Stand ``forger`` where member ``beside`` stands now, so that the radio
+    of a geometric run can flood its forgeries; a full mesh needs no place.
+    It stays on the square, and the waypoint walk moves it from then on."""
+    engine.radio.place(forger, beside)
+
+
+def overhear(engine, hear: Callable[[object, tuple], None]) -> None:
+    """Call ``hear(msg, recipients)`` for every broadcast the radio puts on
+    the air, with the members it reaches in id order."""
     radio = engine.radio
     flood = radio.flood
 
     def heard(msg, sender, online):
         recipients = flood(msg, sender, online)
-        hear(msg)
+        hear(msg, recipients)
         return recipients
 
     radio.flood = heard
