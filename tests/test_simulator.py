@@ -690,6 +690,35 @@ def test_golden_digests_of_geometric_runs_at_the_benchmark_size(side, n, trace_s
     assert hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest() == metrics_sha
 
 
+@pytest.mark.parametrize(
+    "n, trace_sha, metrics_sha",
+    [
+        (
+            200,
+            "d5574bb0de837cc19daa0b3d822f2d5a8dfbb18eeb8a2ed8674600c2550777eb",
+            "da91d84356d8809ebdfef8f31100c31951dd4fe9e03dd2b7d99730c19ebb4e70",
+        ),
+        (
+            1000,
+            "f1bd223140c946040e56e6e0cb909dc8d76485c7c535cd785bd3f41398e4b3b4",
+            "d80970cdfab1711319d276a877c416a5861f56705c1ae3669c8cc55b6f58d2c4",
+        ),
+    ],
+    ids=["n200", "n1000"],
+)
+def test_golden_digests_of_full_mesh_runs_at_the_benchmark_size(n, trace_sha, metrics_sha):
+    # Frozen output bytes of full-mesh runs at mesh_churn's size and five
+    # times it, where every broadcast reaches hundreds of members.
+    cfg = ScenarioConfig(
+        n_initial=n, m=2 * n, T=10.0, l=20, duration=100.0, seed=11,
+        churn=ChurnConfig(0.1, 0.1, 0.1),
+    )
+    result = run_scenario(cfg)
+    assert result.outcome == "completed"
+    assert hashlib.sha256(result.trace_text().encode("utf-8")).hexdigest() == trace_sha
+    assert hashlib.sha256(result.metrics.to_json().encode("utf-8")).hexdigest() == metrics_sha
+
+
 def membership(engine, node):
     """A node's place in the life cycle: online, offline or deleted."""
     if node in engine.online:
