@@ -3,14 +3,15 @@
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
 waypoint walk, and floods broadcasts over the resulting disk graph.  The
-first broadcast after the positions or the on-line set change (a mobility
-tick, or an insertion that places a node) computes that graph's components
-straight from the members' positions (``flood_components``), so until
-either changes again a broadcast is a lookup (``broadcast_deliver``).  A
-full mesh is the one-component case of the same table: every on-line member
-in one component.  Traffic is accounted per delivery: each node forwards a
-broadcast at most once and every copy a receiver hears is counted at the
-message's encoded size plus a fixed header.
+flood table has one rule: the positions and the engine's on-line set are
+replaced, never edited, and the table is kept while both are the same
+objects.  The first broadcast after either is replaced computes the
+components straight from the positions (``flood_components``); until then
+a broadcast is a lookup (``broadcast_deliver``) of the sender's component,
+which the engine delivers to all but the sender.  A full mesh is the
+one-component case of the same table.  Traffic is accounted per delivery:
+each node forwards a broadcast at most once and every copy a receiver hears
+is counted at the message's encoded size plus a fixed header.
 """
 
 from __future__ import annotations
@@ -207,12 +208,10 @@ def flood_components(
 
 
 def broadcast_deliver(sender: NodeId, components: Components) -> tuple[tuple[NodeId, ...], int]:
-    """One broadcast looked up in a ``flood_components`` table: the recipients
-    in id order (the sender's component without the sender) and the number
-    of copies on the air."""
-    component, deliveries = components[sender]
-    i = component.index(sender)
-    return component[:i] + component[i + 1:], deliveries
+    """One broadcast looked up in a ``flood_components`` table: the sender's
+    component in id order, the sender included, and the number of copies on
+    the air."""
+    return components[sender]
 
 
 class Radio:
@@ -225,9 +224,7 @@ class Radio:
         # The connectivity mode, decided once: the geometry, or None for a full mesh.
         self.geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
         self.metrics = TrafficMetrics()
-        # Positions are replaced, never edited, so a new dict means new
-        # components.  The last flood table (see ``flood``):
-        # (positions, flooding members, components).
+        # The last flood table (see ``flood``): (positions, on-line set, components).
         self.positions: dict[NodeId, WaypointState] = {}
         self._flood: tuple = (None, None, None)
         if self.geo is not None:
@@ -257,23 +254,21 @@ class Radio:
         self.metrics.record(msg.traffic_class, msg.size())
         return True
 
-    def flood(self, msg: Message, sender: NodeId, online: set[NodeId]) -> tuple[NodeId, ...]:
-        """Flood a broadcast from ``sender`` over the ``online`` members, meter
-        every delivered copy, and give the recipients in id order.  The
-        components are flooded again only when the positions dict is replaced
-        or the flooding members change; else a broadcast is a lookup."""
+    def flood(self, msg: Message, online: frozenset[NodeId]) -> tuple[NodeId, ...]:
+        """Flood a broadcast from ``msg.sender`` over the ``online`` members,
+        meter every copy, and give the sender's component in id order.  The
+        flood table is kept while the positions and ``online`` are the same
+        objects.  A sender off ``online``, a forger, floods with them."""
         positions, members, components = self._flood
-        flooding = frozenset(online | {sender})
-        if positions is not self.positions or flooding != members:
-            components = flood_components(flooding, self.positions, self.geo)
-            self._flood = (self.positions, flooding, components)
-        recipients, deliveries = broadcast_deliver(sender, components)
-        if not recipients:  # a lone sender puts no copy on the air
-            return recipients
-        # A summary's deletions are metered as deletion traffic.
-        deleting = isinstance(msg, PolSummary) and msg.deletions
-        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
-        if deleting:
+        if msg.sender not in online:
+            components = flood_components(online | {msg.sender}, self.positions, self.geo)
+        elif positions is not self.positions or members is not online:
+            components = flood_components(online, self.positions, self.geo)
+            self._flood = (self.positions, online, components)
+        component, deliveries = broadcast_deliver(msg.sender, components)
+        deletion_part = 0
+        if isinstance(msg, PolSummary) and msg.deletions:  # metered as deletion traffic
+            deletion_part = len(msg.deletion_payload_bytes())
             self.metrics.record("deletion", deletion_part, deliveries)
         self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
-        return recipients
+        return component

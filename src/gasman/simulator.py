@@ -8,11 +8,13 @@ comes from one seeded generator, and all iteration over node sets is sorted.
 
 A run follows a ``gasman.scenario`` configuration; what the air reaches and
 what each copy costs is decided in ``gasman.radio``.  A broadcast reaches
-its recipients as one delivery event, handled in recipient id order.
-A membership step (an insertion's start or close, a proof of life's close, a
-re-entry) due while a membership update is still on the air waits until that
-update has landed.  Whether a member is on-line, off-line or deleted is the
-engine's alone to track; replicas never hold it.
+the sender's component as one delivery event, handled in id order by all
+but the sender.  A membership step (an insertion's start or close, a proof
+of life's close, a re-entry) due while a membership update is still on the
+air waits until that update has landed.  Whether a member is on-line,
+off-line or deleted is the engine's alone to track; replicas never hold it.
+The on-line set is a frozenset that every status change replaces, so the
+radio keeps its flood table while the set is the same object.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class _Engine:
         self.nodes: dict[NodeId, _Member] = {v: _Member(v, dealt) for v in sorted(graph.vertices)}
         # The engine alone knows where each member is in its life cycle: a
         # node in neither set is deleted.  Replicas never see these sets.
-        self.online: set[NodeId] = set(self.nodes)
+        self.online: frozenset[NodeId] = frozenset(self.nodes)
         self.offline: set[NodeId] = set()
         self.awaiting_reentry: set[NodeId] = set()
         self.last_summary_us: int = -1
@@ -249,13 +251,13 @@ class _Engine:
             self.terminated_at = self.now_s
             self._trace(f"Network terminated: {online} nodes on-line")
 
-    def _broadcast(self, msg: Message, sender: NodeId) -> None:
-        """Flood a broadcast from ``sender`` over the on-line nodes and
-        schedule its delivery to the recipients the radio gives."""
-        recipients = self.radio.flood(msg, sender, self.online)
-        if not recipients:
+    def _broadcast(self, msg: Message) -> None:
+        """Flood a broadcast from ``msg.sender`` over the on-line nodes and
+        schedule its delivery to the sender's component the radio gives."""
+        component = self.radio.flood(msg, self.online)
+        if len(component) == 1:  # a lone sender reaches no one
             return
-        self._push(self.now_us + HOP_US, "deliver", (msg, recipients))
+        self._push(self.now_us + HOP_US, "deliver", (msg, component))
         # A summary's deletions make it a membership update, as every
         # insertion broadcast is.
         if isinstance(msg, NeighborSetBroadcast) or isinstance(msg, PolSummary) and msg.deletions:
@@ -320,7 +322,7 @@ class _Engine:
             self._turn_on(op.node)
 
     def _on_deliver(self, msg: Message, recipients: tuple[NodeId, ...]) -> None:
-        """Hand one message to each recipient in id order, all at one instant.
+        """Hand one message to each recipient but its sender in id order, at once.
 
         The copies of one transmission share a time stamp, so no other event
         could run between them; the batch is one event.  It stops where the
@@ -335,10 +337,11 @@ class _Engine:
             # not open or close collections.  Few windows are open at once, so
             # scan those; recipients ascend, so the order is theirs.
             recipients = [r for r in sorted(self.pending_pol) if r in recipients]
+        sender = msg.sender
         for recipient in recipients:
             if self.terminated_at is not None:
                 return
-            if recipient in self.online:
+            if recipient != sender and recipient in self.online:
                 handle(self.nodes[recipient], msg)
 
     # -- proofs of life ----------------------------------------------------
@@ -362,7 +365,7 @@ class _Engine:
         msg = PolInitiate(
             sender=node, stage=state.stage, sent_at=self.now_s, window=window
         )
-        self._broadcast(msg, node)
+        self._broadcast(msg)
         self._push(self.now_us + COLLECT_CLOSE_US, "pol_close", (node, window))
 
     def _handle_pol_initiate(self, state: _Member, msg: PolInitiate) -> None:
@@ -390,7 +393,7 @@ class _Engine:
             sender=node, stage=state.stage, sent_at=self.now_s,
             claimed_id=node, window=window,
         )
-        self._broadcast(answer, node)
+        self._broadcast(answer)
 
     def _handle_pol_answer(self, state: NodeState, msg: PolAnswer) -> None:
         pending = self.pending_pol.get(state.id)
@@ -424,7 +427,7 @@ class _Engine:
             label = "Node" if len(silent) == 1 else "Nodes"
             verb = "does" if len(silent) == 1 else "do"
             self._trace(f"{label} {names} {verb} not answer to the proof of life")
-        self._broadcast(summary, node)
+        self._broadcast(summary)
         self.last_summary_us = self.now_us
         self.last_summary_alive = frozenset(summary.alive)
         self._apply_summary(state, summary, traced=True)
@@ -443,7 +446,7 @@ class _Engine:
     def _apply_summary(self, state: _Member, summary: PolSummary, traced: bool) -> None:
         before = state.cycle
         if state.id in summary.deletions:  # a replica told it is silent is gone
-            self.online.discard(state.id)
+            self.online = self.online - {state.id}
         try:
             removed = apply_deletion_update(state, summary, self.pcfg, self.now_s)
         except BelowMinimumOrder:
@@ -451,9 +454,10 @@ class _Engine:
             self._trace("Network terminated: graph below minimum order")
             return
         state.summary_window = max(state.summary_window, summary.window)
+        if not self.online.isdisjoint(removed):  # once per summary, not per replica
+            self.online = self.online.difference(removed)
         snapshot = before
         for victim in removed:
-            self.online.discard(victim)
             self.offline.discard(victim)
             self.awaiting_reentry.discard(victim)
             if traced:
@@ -484,7 +488,7 @@ class _Engine:
             sender=auth_id, stage=auth.stage, sent_at=self.now_s, proposed_id=proposed
         )
         self.pending_insert = _Insertion(auth_id, proposed, forced_id, forced_neighbors)
-        self._broadcast(announce, auth_id)
+        self._broadcast(announce)
         self._push(self.now_us + COLLECT_CLOSE_US, "ack_close", (auth_id,))
 
     def _handle_insertion_announce(self, state: NodeState, msg: InsertionAnnounce) -> None:
@@ -532,7 +536,7 @@ class _Engine:
             f"Insertion of Node {new_id} is broadcast by Node {author_id}",
             snapshot=auth.cycle,
         )
-        self._broadcast(outcome.broadcast, author_id)
+        self._broadcast(outcome.broadcast)
         self._spawn_member(auth, outcome, new_id)
 
     def _handle_neighbor_set(self, state: NodeState, msg: NeighborSetBroadcast) -> None:
@@ -557,13 +561,13 @@ class _Engine:
         )
         # A reused id replaces whatever node held it, with its windows and times.
         self.nodes[new_id] = _Member(new_id, replica, last_proof_us=self.now_us)
-        self.online.add(new_id)
+        self.online = self.online | {new_id}
         self.offline.discard(new_id)
         self._schedule_pol_check(new_id)
 
     # -- churn -------------------------------------------------------------
 
-    def _draw(self, nodes: set[NodeId]) -> Optional[NodeId]:
+    def _draw(self, nodes: frozenset[NodeId] | set[NodeId]) -> Optional[NodeId]:
         """A uniform pick from ``nodes`` in id order, or ``None`` from none."""
         pool = sorted(nodes)
         return pool[self.rng.randrange(len(pool))] if pool else None
@@ -571,7 +575,7 @@ class _Engine:
     def _turn_off(self, node: Optional[NodeId]) -> None:
         if node not in self.online:
             return
-        self.online.remove(node)
+        self.online = self.online - {node}
         self.offline.add(node)
         self.nodes[node].turn_off_us = self.now_us
         self._trace(f"Node {node} turns off")
@@ -622,7 +626,7 @@ class _Engine:
             self.radio.send(decision.grant, verifier_id, node)
             apply_catch_up(state, decision.grant, self.pcfg)
             self.offline.remove(node)
-            self.online.add(node)
+            self.online = self.online | {node}
             state.last_proof_us = self.now_us
             self._schedule_pol_check(node)
             self._trace(f"Node {node} re-enters the network")
@@ -654,7 +658,7 @@ class _Engine:
             alive=frozenset(v for v in online if v != victim),
             deletions=frozenset({victim}),
         )
-        self._broadcast(summary, author)
+        self._broadcast(summary)
         self._apply_summary(self.nodes[author], summary, traced=True)
 
 

@@ -31,7 +31,7 @@ def at(engine, when: float, action: Callable[[], None]) -> None:
 
 def forge(engine, msg) -> None:
     """Put ``msg`` on the air now, from its self-reported sender."""
-    engine._broadcast(msg, msg.sender)
+    engine._broadcast(msg)
 
 
 def stand(engine, forger: int, beside: int) -> None:
@@ -43,13 +43,14 @@ def stand(engine, forger: int, beside: int) -> None:
 
 def overhear(engine, hear: Callable[[object, tuple], None]) -> None:
     """Call ``hear(msg, recipients)`` for every broadcast the radio puts on
-    the air, with the members it reaches in id order."""
+    the air, with the members it reaches in id order: the sender's component
+    less the sender."""
     radio = engine.radio
     flood = radio.flood
 
-    def heard(msg, sender, online):
-        recipients = flood(msg, sender, online)
-        hear(msg, recipients)
-        return recipients
+    def heard(msg, online):
+        component = flood(msg, online)
+        hear(msg, tuple(v for v in component if v != msg.sender))
+        return component
 
     radio.flood = heard

@@ -20,10 +20,10 @@ def record_air(engine) -> list:
     radio = engine.radio
     flood, send = radio.flood, radio.send
 
-    def logged_flood(msg, sender, online):
-        recipients = flood(msg, sender, online)
+    def logged_flood(msg, online):
+        component = flood(msg, online)
         air.append(msg)
-        return recipients
+        return component
 
     def logged_send(msg, src, dst):
         sent = send(msg, src, dst)

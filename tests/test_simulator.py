@@ -232,7 +232,7 @@ def test_answers_reach_a_window_opened_during_their_hop():
     answer = PolAnswer(
         sender=1, stage=eng.nodes[1].stage, sent_at=5.5, claimed_id=1, window=1
     )
-    eng._broadcast(answer, 1)
+    eng._broadcast(answer)
     eng._on_pol_check(3)  # node 3 starts collecting while the answer is in flight
     (msg, recipients), = [p for *_, p in eng._heap if p and p[0] is answer]
     eng._on_deliver(msg, recipients)
@@ -304,7 +304,10 @@ def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
         sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
         alive=frozenset(eng.online - victims), deletions=victims,
     )
-    eng._on_deliver(summary, tuple(sorted(eng.online)))
+    # The sender's component, which the sender applies first, as ``_on_pol_close`` does.
+    component = tuple(sorted(eng.online))
+    eng._apply_summary(eng.nodes[0], summary, traced=True)
+    eng._on_deliver(summary, component)
     online = [eng.nodes[v] for v in sorted(eng.online)]
     assert len(online) == 10 and {s.graph.order for s in online} == {10}
     assert all(s.graph is online[0].graph and s.cycle is online[0].cycle for s in online)
@@ -320,9 +323,11 @@ def test_members_that_agree_keep_one_replica_object_through_a_summary():
     def checked_deliver(msg, recipients):
         if first or not isinstance(msg, PolSummary):
             return deliver(msg, recipients)
-        before = {v: eng.nodes[v].replica for v in recipients}
+        # The sender applied its own summary when it sent it.
+        others = [v for v in recipients if v != msg.sender]
+        before = {v: eng.nodes[v].replica for v in others}
         deliver(msg, recipients)
-        first.append((msg, before, {v: eng.nodes[v].replica for v in recipients}))
+        first.append((msg, before, {v: eng.nodes[v].replica for v in others}))
 
     eng._on_deliver = checked_deliver
     eng.run()
@@ -486,6 +491,55 @@ def test_the_engine_moves_a_returning_node_between_its_sets(
     assert outcome is None or outcome in text
     assert (3 in eng.online, 3 in eng.offline) == (online, offline)
     assert 3 in eng.nodes
+
+
+def test_every_status_change_replaces_the_on_line_set():
+    # The radio keeps its flood table while the on-line set is the same
+    # object, so a status change makes a new set and edits none.
+    script = (
+        ScriptedOp(time=1.0, op="turn_off", node=3),
+        ScriptedOp(time=6.0, op="turn_on", node=3),
+        ScriptedOp(time=7.0, op="insert", author=0),
+        ScriptedOp(time=9.0, op="delete", node=5),
+    )
+    eng = _Engine(no_churn_cfg(duration=12.0, script=script))
+    assert type(eng.online) is frozenset
+    steps = []
+    for name in ("_turn_off", "_on_reentry", "_spawn_member", "_apply_summary"):
+        def recorded(*args, name=name, step=getattr(eng, name), **kwargs):
+            before = eng.online
+            step(*args, **kwargs)
+            steps.append((name, before, eng.online))
+        setattr(eng, name, recorded)
+    eng.run()
+    changed = {name for name, before, after in steps if after != before}
+    assert changed == {"_turn_off", "_on_reentry", "_spawn_member", "_apply_summary"}
+    for name, before, after in steps:
+        assert type(after) is frozenset
+        assert (after is before) == (after == before), name
+    assert 3 in eng.online and 5 not in eng.online
+
+
+def test_a_deleting_summary_replaces_the_on_line_set_once():
+    from gasman.protocol import PolSummary
+
+    eng = _Engine(no_churn_cfg(n_initial=16, m=32))
+    victims = frozenset(range(10, 16))
+    summary = PolSummary(
+        sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
+        alive=frozenset(eng.online - victims), deletions=victims,
+    )
+    sets, handle = [eng.online], eng._handle_pol_summary
+
+    def handled(state, msg):
+        handle(state, msg)
+        sets.append(eng.online)
+
+    eng._handle_pol_summary = handled
+    eng._on_deliver(summary, tuple(sorted(eng.online)))
+    # Members 1 to 9 handle it; the first takes the victims off-line.
+    assert len(sets) == 1 + 9 and sets[-1] == frozenset(range(10))
+    assert len({id(s) for s in sets}) == 2, "each replica made a new on-line set"
 
 
 def test_a_newcomer_on_a_reused_id_starts_with_no_windows():
@@ -968,6 +1022,14 @@ def place(coords):
     return {i: WaypointState(x=x, y=y) for i, (x, y) in coords.items()}
 
 
+def recipients_of(sender, components):
+    """A ``broadcast_deliver`` lookup as its recipients see it: the sender's
+    component less the sender, and the number of copies on the air."""
+    component, deliveries = broadcast_deliver(sender, components)
+    assert sender in component
+    return tuple(v for v in component if v != sender), deliveries
+
+
 def test_reachability_distance_bands():
     cfg = geo_cfg()
     positions = place({1: (0, 0), 2: (4, 0), 3: (100, 0), 4: (300, 0)})
@@ -979,7 +1041,7 @@ def test_reachability_distance_bands():
 def test_full_mesh_reaches_everyone_as_secure():
     cfg = no_churn_cfg()
     assert reachable(1, 2, {}, cfg) is Reach.DATA_AND_SECURE
-    recipients, deliveries = broadcast_deliver(0, flood_components(frozenset({0, 1, 2, 3}), {}, None))
+    recipients, deliveries = recipients_of(0, flood_components(frozenset({0, 1, 2, 3}), {}, None))
     assert recipients == (1, 2, 3)
     assert deliveries == 4 * 3
 
@@ -987,7 +1049,7 @@ def test_full_mesh_reaches_everyone_as_secure():
 def test_flood_stays_within_the_connected_component():
     positions = place({0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (1000, 0), 4: (1100, 0)})
     components = flood_components(frozenset(positions), positions, GEO)
-    recipients, _ = broadcast_deliver(0, components)
+    recipients, _ = recipients_of(0, components)
     assert recipients == (1, 2)
     # The forwarders are the sender's component.
     assert components[0][0] == (0, 1, 2)
@@ -1001,7 +1063,7 @@ def test_each_node_forwards_a_broadcast_at_most_once():
         )
         sender = rng.randrange(12)
         components = flood_components(frozenset(positions), positions, GEO)
-        recipients, _ = broadcast_deliver(sender, components)
+        recipients, _ = recipients_of(sender, components)
         forwarders = components[sender][0]
         # Forwarders are distinct: one transmission per node per broadcast id.
         assert len(set(forwarders)) == len(forwarders) <= 12
@@ -1059,7 +1121,7 @@ def test_flood_over_the_neighbor_table_matches_a_pairwise_flood(
     # The engine floods every component at once and looks each broadcast up.
     members = frozenset(online | {sender})
     components = flood_components(members, positions, None if full_mesh else geo)
-    recipients, deliveries = broadcast_deliver(sender, components)
+    recipients, deliveries = recipients_of(sender, components)
     assert recipients == tuple(sorted(recipients))
     assert (frozenset(recipients), frozenset(components[sender][0]), deliveries) == pairwise_flood(
         sender, online, positions, cfg
@@ -1082,20 +1144,23 @@ def test_a_sender_that_is_not_on_line_still_floods():
     radio.positions = place(
         {0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (300, 0), 4: (1000, 0), 5: (2000, 0)}
     )
-    assert radio.flood(msg, 1, {0, 2, 3, 4}) == (0, 2, 3)
+    online = frozenset({0, 2, 3, 4})
+    assert radio.flood(msg, online) == (0, 1, 2, 3)
     assert radio.metrics.counts["proof_of_life"] == 5 * 2
     # A lone sender reaches no one and meters nothing.
-    assert radio.flood(msg, 5, {0, 2, 3, 4}) == ()
+    assert radio.flood(replace(msg, sender=5), online) == (5,)
     assert radio.metrics.counts["proof_of_life"] == 5 * 2
     # On a full mesh a forger with no position reaches every on-line member.
     mesh = Radio(no_churn_cfg(), [], Random(0))
-    assert mesh.flood(msg, 10**6, set(range(8))) == tuple(range(8))
+    assert mesh.flood(replace(msg, sender=10**6), frozenset(range(8))) == (*range(8), 10**6)
     assert mesh.metrics.counts["proof_of_life"] == 9 * 8
 
 
 def sent_to(engine):
-    """The recipients of the engine's most recently queued delivery."""
-    return max(e for e in engine._heap if e[2] == "deliver")[3][1]
+    """The recipients of the engine's most recently queued delivery: the
+    sender's component less the sender."""
+    msg, component = max(e for e in engine._heap if e[2] == "deliver")[3]
+    return tuple(v for v in component if v != msg.sender)
 
 
 def test_engine_floods_again_when_the_online_set_or_the_positions_change():
@@ -1108,12 +1173,12 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
         v: WaypointState(x=200.0 * v, y=0.0, pause_until=paused) for v in range(8)
     }
     msg = PolInitiate(sender=0, stage=0, sent_at=0.0, window=1)
-    engine._broadcast(msg, 0)
+    engine._broadcast(msg)
     assert sent_to(engine) == (1, 2, 3, 4, 5, 6, 7)
     # Same positions, new components: node 3 off-line cuts the chain.
     positions, components = radio._flood[0], radio._flood[2]
     engine._turn_off(3)
-    engine._broadcast(msg, 0)
+    engine._broadcast(msg)
     assert radio._flood[0] is positions
     assert radio._flood[2] is not components
     assert sent_to(engine) == (1, 2)
@@ -1124,7 +1189,7 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
         x=400.0, y=0.0, dest_x=400.0, dest_y=5000.0, speed=2000.0
     )
     engine._on_move(1)
-    engine._broadcast(msg, 0)
+    engine._broadcast(msg)
     assert radio._flood[0] is radio.positions is not positions
     assert radio._flood[2] is not components
     assert sent_to(engine) == (1,)
@@ -1132,7 +1197,7 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
     assert radio.metrics.counts["proof_of_life"] == 14 + 4 + 2
     # Neither changed since: the next broadcast keeps the components.
     components = radio._flood[2]
-    engine._broadcast(msg, 0)
+    engine._broadcast(msg)
     assert radio._flood[2] is components
 
 
