@@ -3,15 +3,14 @@
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
 waypoint walk, and floods broadcasts over the resulting disk graph.  The
-flood table has one rule: the positions and the engine's on-line set are
-replaced, never edited, and the table is kept while both are the same
-objects.  The first broadcast after either is replaced computes the
-components straight from the positions (``flood_components``); until then
-a broadcast is a lookup (``broadcast_deliver``) of the sender's component,
-which the engine delivers to all but the sender.  A full mesh is the
-one-component case of the same table.  Traffic is accounted per delivery:
-each node forwards a broadcast at most once and every copy a receiver hears
-is counted at the message's encoded size plus a fixed header.
+flood table is kept while its inputs, the positions and the engine's
+on-line set, are the same objects: both are replaced, never edited.  The
+first broadcast after either is replaced computes the components from the
+positions (``flood_components``); a broadcast is a lookup of the sender's
+component (``broadcast_deliver``), which the engine delivers to all but the
+sender.  A full mesh is the one-component case.  Traffic is accounted per
+delivery: each node forwards a broadcast at most once and every copy a
+receiver hears is counted at the message's encoded size plus a fixed header.
 """
 
 from __future__ import annotations
@@ -258,7 +257,7 @@ class Radio:
         """Flood a broadcast from ``msg.sender`` over the ``online`` members,
         meter every copy, and give the sender's component in id order.  The
         flood table is kept while the positions and ``online`` are the same
-        objects.  A sender off ``online``, a forger, floods with them."""
+        objects.  A forger, outside ``online``, floods over it and itself, uncached."""
         positions, members, components = self._flood
         if msg.sender not in online:
             components = flood_components(online | {msg.sender}, self.positions, self.geo)
@@ -266,9 +265,10 @@ class Radio:
             components = flood_components(online, self.positions, self.geo)
             self._flood = (self.positions, online, components)
         component, deliveries = broadcast_deliver(msg.sender, components)
-        deletion_part = 0
-        if isinstance(msg, PolSummary) and msg.deletions:  # metered as deletion traffic
-            deletion_part = len(msg.deletion_payload_bytes())
+        # A summary's deletions are metered as deletion traffic.
+        deleting = isinstance(msg, PolSummary) and msg.deletions
+        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
+        if deleting:
             self.metrics.record("deletion", deletion_part, deliveries)
         self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)
         return component
