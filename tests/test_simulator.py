@@ -304,7 +304,8 @@ def test_replicas_share_one_instance_after_a_summary_deletes_many_nodes():
         sender=0, stage=eng.nodes[0].stage, sent_at=0.0, window=1,
         alive=frozenset(eng.online - victims), deletions=victims,
     )
-    # The sender's component, which the sender applies first, as ``_on_pol_close`` does.
+    # The sender applies its summary first, as ``_on_pol_close`` does; then
+    # the rest of its component hears it.
     component = tuple(sorted(eng.online))
     eng._apply_summary(eng.nodes[0], summary, traced=True)
     eng._on_deliver(summary, component)
