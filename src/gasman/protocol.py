@@ -11,11 +11,14 @@ A replica is an immutable :class:`Replica` value, and replicas that agree
 share one.  An insertion or a summary keeps its result on the value it
 started from, keyed by exactly what it reads: of the members holding one
 value, the first to hear an update computes it and the others look it up.
+Kept results, a verifier's value after a grant and a finished catch-up are
+interned by whole content, so values that split apart rejoin once equal.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -332,7 +335,9 @@ class Replica:
 
     A value never changes; a transition makes a new one and keeps it in
     ``_kept``, so every member holding this value gets the same result
-    object.  A transition that raises keeps nothing, so it raises every time.
+    object.  A transition that raises keeps nothing but an insertion's Sybil
+    verdict, so it raises every time.  Kept results are interned, so equal
+    values made apart become one.
     """
 
     graph: Graph
@@ -397,6 +402,16 @@ class NodeState:
 
 
 _timestamp = attrgetter("timestamp")
+
+#: Every interned value some holder still has, by its whole content; the
+#: values are weak, so a value leaves the table with its last holder.
+_interned: "weakref.WeakValueDictionary[tuple, Replica]" = weakref.WeakValueDictionary()
+
+
+def _intern(r: Replica) -> Replica:
+    """The held value with ``r``'s content, which is ``r`` if none is held."""
+    key = (r.graph, r.cycle, r.stage, r.fifo, frozenset(r.stage_history.items()), r.online_view)
+    return _interned.setdefault(key, r)
 
 
 def prune_fifo(state: NodeState, now: float, cfg: ProtocolConfig) -> None:
@@ -514,18 +529,23 @@ def apply_insertion_update(
 
     A proposed id that is already a vertex is the duplicate-id attack from
     the Sybil analysis: :func:`detect_sybil` flags the sender and the update
-    is rejected.
+    is rejected.  The verdict and the result are kept on the replica value,
+    keyed by the broadcast, ``now`` and the retention, so a member that looks
+    them up builds no record.
     """
-    if detect_sybil(state, (broadcast,)):
+    before, key = state.replica, (broadcast, now, cfg.retention)
+    kept = before._kept.get(key)
+    if kept is None:
+        flagged = frozenset(detect_sybil(state, (broadcast,)))
+        if not flagged:
+            record = InsertionRecord(state.stage + 1, broadcast.node, broadcast.neighbors, broadcast.sender, now)
+            apply_update_record(state, record, cfg)
+        kept = before._kept[key] = flagged, None if flagged else _intern(state.replica)
+    flagged, after = kept
+    if flagged:
+        state.sybil_flags |= flagged
         raise DuplicateIdError("ID already assigned")
-    record = InsertionRecord(state.stage + 1, broadcast.node, broadcast.neighbors, broadcast.sender, now)
-    before, key = state.replica, (record, cfg.retention)
-    after = before._kept.get(key)
-    if after is None:
-        apply_update_record(state, record, cfg)
-        before._kept[key] = state.replica
-    else:
-        state.replica = after
+    state.replica = after
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +611,7 @@ def access_control(
         r for r in verifier.fifo
         if r.stage > req.stage or (isinstance(r, PolRecord) and r.timestamp > now - cfg.T)
     )
-    verifier.replica = replace(verifier.replica, online_view=verifier.online_view | {req.claimed_id})
+    verifier.replica = _intern(replace(verifier.replica, online_view=verifier.online_view | {req.claimed_id}))
     return Granted(
         AccessGrant(
             sender=verifier.id,
@@ -607,7 +627,7 @@ def access_control(
 def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) -> None:
     """Replay a grant's records through :func:`apply_update_record`, adding
     each witnessed living set to the on-line view; the replica then lists
-    itself on-line, and its FIFO is pruned at the grant's send time."""
+    itself on-line, is pruned at the grant's send time, and is interned."""
     for rec in grant.records:
         apply_update_record(state, rec, cfg)
         if isinstance(rec, PolRecord):
@@ -618,6 +638,7 @@ def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) ->
         )
     state.replica = replace(state.replica, online_view=state.online_view | {state.id})
     prune_fifo(state, grant.sent_at, cfg)
+    state.replica = _intern(state.replica)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +727,7 @@ def apply_deletion_update(
     ids actually removed.  A shrink below a valid cycle raises
     ``BelowMinimumOrder``; callers run the termination check.  The result
     and the removed ids are kept on the replica value, keyed by the summary,
-    ``now`` and the retention.
+    ``now`` and the retention, and the result is interned.
     """
     before, key = state.replica, (summary, now, cfg.retention)
     kept = before._kept.get(key)
@@ -720,7 +741,7 @@ def apply_deletion_update(
         removed = tuple(sorted(summary.deletions & state.graph.vertices))
         for victim in removed:
             apply_update_record(state, DeletionRecord(state.stage + 1, victim, summary.sender, now), cfg)
-        kept = before._kept[key] = state.replica, removed
+        kept = before._kept[key] = _intern(state.replica), removed
     state.replica = kept[0]
     return list(kept[1])
 

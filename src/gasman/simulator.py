@@ -20,6 +20,7 @@ radio keeps its flood table while the set is the same object.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from random import Random
 from types import MappingProxyType
@@ -125,6 +126,11 @@ class ScenarioResult:
 
 def _sec(us: int) -> float:
     return us / 1_000_000
+
+
+def _holds(ascending: tuple[NodeId, ...], node: NodeId) -> bool:
+    i = bisect_left(ascending, node)
+    return i < len(ascending) and ascending[i] == node
 
 
 def _stagger_us(node: NodeId) -> int:
@@ -335,8 +341,9 @@ class _Engine:
         if type(msg) is PolAnswer:
             # Only a node collecting answers can act on one, and answers do
             # not open or close collections.  Few windows are open at once, so
-            # scan those; recipients ascend, so the order is theirs.
-            recipients = [r for r in sorted(self.pending_pol) if r in recipients]
+            # find each in the component, which ascends, by bisection.
+            component = recipients
+            recipients = [r for r in sorted(self.pending_pol) if _holds(component, r)]
         sender = msg.sender
         for recipient in recipients:
             if self.terminated_at is not None:

@@ -36,14 +36,14 @@ def outputs(result) -> tuple[bytes, bytes]:
     (GeometricConfig(500.0, 20.0, 0.5, 250.0, 5.0), {
         "simulator.broadcast_deliver": 138, "simulator.reachable": 248,
         "simulator.step_mobility": 80, "simulator.events.popped": 845,
-        "graph.splice_insert": 129, "graph.splice_delete": 59,
-        "protocol.apply_update_record": 265,
+        "graph.splice_insert": 82, "graph.splice_delete": 41,
+        "protocol.apply_update_record": 179,
     }),
     ("full_mesh", {
         "simulator.broadcast_deliver": 105, "simulator.reachable": 143,
         "simulator.step_mobility": 0, "simulator.events.popped": 537,
-        "graph.splice_insert": 64, "graph.splice_delete": 56,
-        "protocol.apply_update_record": 179,
+        "graph.splice_insert": 51, "graph.splice_delete": 48,
+        "protocol.apply_update_record": 151,
     }),
 ])
 def test_every_probe_counts_the_calls_of_a_fixed_run(connectivity, expected):

@@ -14,6 +14,7 @@ import pytest
 from conftest import record_air
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from replica_sharing import content
 from state_digest import state_digest
 
 from gasman.cli import main as gasman_cli
@@ -340,6 +341,64 @@ def test_members_that_agree_keep_one_replica_object_through_a_summary():
     assert shared is not before[recipient] and shared.fifo[-1].author == summary.sender
 
 
+@pytest.mark.parametrize("connectivity", ["full_mesh", GEO])
+def test_members_whose_values_became_equal_share_one_object_again(connectivity):
+    # Values split apart: an initiator applies its summary a hop before the
+    # others, a verifier adds the returning member to its view, a newcomer
+    # and a returning member start from records of their own.  Right after
+    # a summary, on-line recipients holding equal content hold one object,
+    # even where they held different objects before it.
+    from gasman.protocol import PolSummary
+
+    eng = _Engine(ScenarioConfig(
+        n_initial=16, m=32, T=5.0, l=5, duration=100.0, seed=5,
+        churn=ChurnConfig(0.3, 0.3, 0.3), connectivity=connectivity,
+    ))
+    deliver, rejoined = eng._on_deliver, []
+
+    def checked_deliver(msg, component):
+        if not isinstance(msg, PolSummary):
+            return deliver(msg, component)
+        before = {v: eng.nodes[v].replica for v in component}
+        deliver(msg, component)
+        holders = {}
+        for v in component:
+            if v != msg.sender and v in eng.online:
+                holders.setdefault(content(eng.nodes[v].replica), []).append(v)
+        for members in holders.values():
+            assert len({id(eng.nodes[v].replica) for v in members}) == 1, "equal values stayed apart"
+            if len({id(before[v]) for v in members}) > 1:
+                rejoined.append((msg.window, members))
+
+    eng._on_deliver = checked_deliver
+    eng.run()
+    assert rejoined, "no values that had split apart met again"
+
+
+@pytest.mark.parametrize("connectivity", ["full_mesh", GEO])
+def test_an_interned_value_equals_the_result_it_stands_for(connectivity):
+    # A member handed a held value in place of the result it computed must
+    # get that result's whole content, or it runs on from another state.
+    from unittest import mock
+
+    from gasman import protocol
+
+    intern, merged = protocol._intern, []
+
+    def checked(replica):
+        shared = intern(replica)
+        assert shared == replica, "an interned value differs from the result it replaced"
+        merged.append(shared is not replica)
+        return shared
+
+    with mock.patch.object(protocol, "_intern", checked):
+        run_scenario(ScenarioConfig(
+            n_initial=16, m=32, T=5.0, l=5, duration=100.0, seed=5,
+            churn=ChurnConfig(0.3, 0.3, 0.3), connectivity=connectivity,
+        ))
+    assert any(merged)
+
+
 def _fresh_copy(replica):
     """An equal replica that shares no object carrying kept results."""
     from gasman.protocol import Replica
@@ -413,6 +472,31 @@ def test_no_graph_outlives_its_run():
     eng = _Engine(cfg)
     eng.run()
     made = [weakref.ref(o) for o in live_instances() if id(o) not in known]
+    assert made
+    del eng
+    gc.collect()
+    assert [r() for r in made if r() is not None] == []
+
+
+def test_no_replica_outlives_its_run():
+    # Replica values are interned in one table for the whole process, which
+    # must let a run's values go with the run.
+    from gasman.protocol import Replica
+
+    def live_replicas():
+        gc.collect()
+        return [o for o in gc.get_objects() if type(o) is Replica]
+
+    # Held so that no value made by the run can take one of their ids.
+    before = live_replicas()
+    known = {id(o) for o in before}
+    # A seed of its own: an earlier run's values cannot stand in for this one's.
+    eng = _Engine(no_churn_cfg(
+        n_initial=12, m=24, T=5.0, l=5, duration=60.0, seed=4,
+        churn=ChurnConfig(0.3, 0.3, 0.3),
+    ))
+    eng.run()
+    made = [weakref.ref(o) for o in live_replicas() if id(o) not in known]
     assert made
     del eng
     gc.collect()
