@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import attrgetter
 from random import Random
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import zkp
 from .graph import (
@@ -62,8 +62,10 @@ DELETION_GRACE = 0.5
 # Update records (the FIFO catch-up queue contents)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InsertionRecord:
+# Records and outcomes are NamedTuples: one equals any tuple of its values, so
+# code tells them apart by ``isinstance``, never by ``==`` across types.
+
+class InsertionRecord(NamedTuple):
     stage: int
     node: NodeId
     neighbors: frozenset[NodeId]
@@ -71,16 +73,14 @@ class InsertionRecord:
     timestamp: float
 
 
-@dataclass(frozen=True)
-class DeletionRecord:
+class DeletionRecord(NamedTuple):
     stage: int
     node: NodeId
     author: NodeId
     timestamp: float
 
 
-@dataclass(frozen=True)
-class PolRecord:
+class PolRecord(NamedTuple):
     """A witnessed proof-of-life summary; does not advance the stage."""
 
     stage: int
@@ -138,6 +138,7 @@ class Message:
 
 @dataclass(frozen=True, kw_only=True)
 class InsertionAnnounce(Message):
+    """An authenticator's first broadcast of an insertion: the id it proposes."""
     proposed_id: NodeId
 
     def payload_bytes(self) -> bytes:
@@ -146,6 +147,7 @@ class InsertionAnnounce(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class InsertionAck(Message):
+    """A member's acknowledgement of a proposed id, sent to the authenticator alone."""
     proposed_id: NodeId
 
     def payload_bytes(self) -> bytes:
@@ -154,6 +156,7 @@ class InsertionAck(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class NeighborSetBroadcast(Message):
+    """A committed insertion: the new node and the neighbor group every replica splices in."""
     node: NodeId
     neighbors: frozenset[NodeId]
 
@@ -186,6 +189,7 @@ class CycleTransfer(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class PolInitiate(Message):
+    """Opens a proof-of-life window; each member that hears it answers once."""
     window: int
     traffic_class = "proof_of_life"
 
@@ -195,6 +199,7 @@ class PolInitiate(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class PolAnswer(Message):
+    """A member's sign of life in one window, kept by the window's initiator."""
     claimed_id: NodeId
     window: int
     traffic_class = "proof_of_life"
@@ -222,6 +227,7 @@ class PolSummary(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class AccessRequest(Message):
+    """A returning member's claim to its id and to the graph of its stage."""
     claimed_id: NodeId
     claimed_graph: Graph
     traffic_class = "zkp"
@@ -232,6 +238,7 @@ class AccessRequest(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class ZkpCommit(Message):
+    """One proof round's commitment, from the supplicant to the verifier."""
     commitment: Commitment
     traffic_class = "zkp"
 
@@ -241,6 +248,7 @@ class ZkpCommit(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class ZkpChallenge(Message):
+    """One proof round's challenge bit, from the verifier to the supplicant."""
     bit: int
     traffic_class = "zkp"
 
@@ -250,6 +258,7 @@ class ZkpChallenge(Message):
 
 @dataclass(frozen=True, kw_only=True)
 class ZkpResponse(Message):
+    """One proof round's answer to its challenge, from the supplicant to the verifier."""
     response: Response
     traffic_class = "zkp"
 
@@ -465,15 +474,13 @@ def apply_update_record(state: NodeState, rec: UpdateRecord, cfg: ProtocolConfig
 # Insertion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InsertCommitted:
+class InsertCommitted(NamedTuple):
     broadcast: NeighborSetBroadcast
     graph_transfer: GraphTransfer
     cycle_transfer: CycleTransfer
 
 
-@dataclass(frozen=True)
-class Aborted:
+class Aborted(NamedTuple):
     reason: str
 
 
@@ -552,13 +559,11 @@ def apply_insertion_update(
 # Access control
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Granted:
+class Granted(NamedTuple):
     grant: AccessGrant
 
 
-@dataclass(frozen=True)
-class Denied:
+class Denied(NamedTuple):
     reason: str
 
 
@@ -645,13 +650,11 @@ def apply_catch_up(state: NodeState, grant: AccessGrant, cfg: ProtocolConfig) ->
 # Proofs of life and deletion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolCompleted:
+class PolCompleted(NamedTuple):
     summary: PolSummary
 
 
-@dataclass(frozen=True)
-class PolAbortedOutcome:
+class PolAbortedOutcome(NamedTuple):
     answers: int
 
 

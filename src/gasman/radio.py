@@ -47,6 +47,7 @@ class Reach(Enum):
 
 @dataclass
 class TrafficMetrics:
+    """Delivered copies and their bytes, per traffic class."""
     counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TRAFFIC_CLASSES, 0))
     bytes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TRAFFIC_CLASSES, 0))
 

@@ -49,6 +49,7 @@ class ChurnConfig:
 
 @dataclass(frozen=True)
 class GeometricConfig:
+    """Random-waypoint mobility in a square, in metres and seconds, and the two radio ranges."""
     area_side: float
     speed_max: float
     pause: float
@@ -74,6 +75,7 @@ class ScriptedOp:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """What one simulated run is asked to do; ``validate`` rejects what cannot be simulated."""
     n_initial: int
     m: int
     T: float

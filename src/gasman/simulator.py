@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from random import Random
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import (
     BelowMinimumOrder,
@@ -98,8 +98,7 @@ _HANDLERS = {
 # Outputs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     description: str
     hc_snapshot: Optional[tuple[NodeId, ...]] = None
@@ -111,6 +110,7 @@ class TraceEvent:
 
 @dataclass
 class ScenarioResult:
+    """A finished run: its trace, its traffic metrics and how it ended."""
     trace: list[TraceEvent]
     metrics: TrafficMetrics
     outcome: str  # "completed" | "terminated"
@@ -138,9 +138,9 @@ def _stagger_us(node: NodeId) -> int:
     return ((node * 9973) % 97 + 1) * 1_000
 
 
-# What an initiator or an authenticator holds while it collects replies.
 @dataclass
 class _PolWindow:
+    """What an initiator holds while it collects the answers of one window."""
     window: int
     sent_at_us: int
     answers: dict[NodeId, PolAnswer] = field(default_factory=dict)
@@ -148,6 +148,7 @@ class _PolWindow:
 
 @dataclass
 class _Insertion:
+    """What an authenticator holds while it collects the acknowledgements of one insertion."""
     author: NodeId
     proposed: NodeId
     forced_id: Optional[NodeId]

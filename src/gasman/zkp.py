@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Optional, Protocol, Union
+from typing import NamedTuple, Optional, Protocol, Union
 
 from .graph import (
     Graph,
@@ -64,8 +64,7 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-@dataclass(frozen=True)
-class Commitment:
+class Commitment(NamedTuple):
     """Digests binding one round's relabeled graph and relabeled cycle."""
 
     graph_digest: bytes
@@ -87,16 +86,14 @@ class RoundSecret:
         return Graph._decoded(self.vertices, self.graph_encoding)
 
 
-@dataclass(frozen=True)
-class RevealCycle:
+class RevealCycle(NamedTuple):
     """Challenge-0 response: open the committed relabeled instance."""
 
     permuted_graph: Graph
     permuted_cycle: HamiltonianCycle
 
 
-@dataclass(frozen=True)
-class RevealPermutation:
+class RevealPermutation(NamedTuple):
     """Challenge-1 response: reveal the relabeling, nothing else."""
 
     permutation: Permutation
@@ -194,13 +191,14 @@ class HonestProver:
             raise ProofError("prover lacks valid cycle")
         self._graph = graph
         self._relabel_cycle = cycle_getter(graph, cycle)  # the witness, kept by position
+        self._domain = graph._relabel.domain  # the one sorted vertex tuple every round shuffles
         self._rng = rng
         self._secret: Optional[RoundSecret] = None
 
     def next_commitment(self) -> Commitment:
         # The witness was checked once, in ``__init__``; graph and cycle are immutable.
         graph = self._graph
-        p = Permutation.random(graph.vertices, self._rng)
+        p = Permutation._shuffled(self._domain, self._rng)
         encoding = relabel_encoding(graph, p)
         self._secret, com = _commit(graph, p, encoding, self._relabel_cycle(p.image))
         return com
@@ -261,15 +259,13 @@ class OneBranchCheater:
         return RevealPermutation(Permutation.identity(self._public.vertices))
 
 
-@dataclass(frozen=True)
-class TranscriptRound:
+class TranscriptRound(NamedTuple):
     commitment: Commitment
     challenge: int
     response: Response
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class ProofResult(NamedTuple):
     accepted: bool
     rounds_completed: int
     failed_round: Optional[int] = None

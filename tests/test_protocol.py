@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 from cycle_solver import SolvingProver, overheard_graph
+from hypothesis import given, strategies as st
 
 from gasman.graph import (
     Graph,
@@ -19,11 +20,13 @@ from gasman.protocol import (
     AccessRequest,
     Aborted,
     CycleTransfer,
+    DeletionRecord,
     Denied,
     DuplicateIdError,
     Granted,
     InsertCommitted,
     InsertionAnnounce,
+    InsertionRecord,
     MESSAGE_TYPES,
     NeighborSetBroadcast,
     NodeState,
@@ -39,6 +42,7 @@ from gasman.protocol import (
     authenticator_insert,
     check_termination,
     detect_sybil,
+    encode_record,
     proof_of_life_cycle,
 )
 from gasman.zkp import HonestProver
@@ -500,6 +504,40 @@ def test_only_the_cycle_transfer_is_secure_and_carries_the_cycle():
         else:
             assert not cls.secure_channel
             assert "cycle" not in fields
+
+
+# ---------------------------------------------------------------------------
+# Update records
+# ---------------------------------------------------------------------------
+
+def test_record_encodings_are_pinned():
+    # A catch-up grant carries these bytes: the tag, stage and time, then the
+    # ids, each id set sorted behind its count.
+    pinned = {
+        InsertionRecord(7, 12, frozenset({3, 1, 9}), 4, 35.25):
+            "01000000074041a000000000000000000c0000000400000003000000010000000300000009",
+        DeletionRecord(8, 3, 4, 40.5): "020000000840444000000000000000000300000004",
+        PolRecord(8, frozenset({4, 1, 12}), 12, 41.125):
+            "030000000840449000000000000000000c0000000300000001000000040000000c",
+    }
+    for record, encoding in pinned.items():
+        assert encode_record(record).hex() == encoding
+
+
+@given(st.integers(0, 2**31), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.floats(0, 1e6))
+def test_records_of_different_kinds_never_compare_equal(stage, node, author, timestamp):
+    # Replica values are interned by their FIFO, so a record of one kind must
+    # never stand in for another that carries the same values.
+    records = [
+        InsertionRecord(stage, node, frozenset({author}), author, timestamp),
+        DeletionRecord(stage, node, author, timestamp),
+        PolRecord(stage, frozenset({node}), author, timestamp),
+        PolRecord(stage, frozenset(), author, timestamp),
+    ]
+    for i, a in enumerate(records):
+        for b in records[i + 1:]:
+            assert a != b
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,19 @@ def test_reject_reasons():
     assert (ok, reason) == (False, "permutation domain mismatch")
 
 
+@pytest.mark.parametrize("challenge", [0, 1])
+def test_a_bare_tuple_posing_as_a_response_is_rejected(challenge):
+    # A response equals any tuple of its values; the verifier tells the two
+    # branches apart by type, so the honest values in a plain tuple fail.
+    g, hc = small_instance()
+    secret, com = prover_commit(g, hc, Random(7))
+    response = prover_respond(secret, challenge)
+    assert verifier_check(g, com, challenge, response) == (True, None)
+    posing = tuple(response)
+    assert posing == response
+    assert verifier_check(g, com, challenge, posing) == (False, "variant/challenge mismatch")
+
+
 def test_opened_instance_without_a_cycle_is_rejected():
     g, hc = small_instance()
     path = Graph(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
@@ -452,7 +465,7 @@ def test_round_count_must_be_positive():
 # ---------------------------------------------------------------------------
 
 def test_permutation_reveal_carries_nothing_but_the_permutation():
-    assert set(RevealPermutation.__dataclass_fields__) == {"permutation"}
+    assert set(RevealPermutation._fields) == {"permutation"}
 
 
 def test_challenge_one_response_is_witness_independent():
