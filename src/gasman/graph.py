@@ -22,14 +22,13 @@ list has packed as 32-bit ids, every key packs to the same bytes and sorts in
 the same order as the endpoint pair would.
 
 Relabeling works by position.  A graph that is relabeled keeps a relabel
-table: its sorted vertex tuple, each vertex's position in it, the encoded
-vertex header and an ``itemgetter`` over the positions of every edge endpoint.
-A permutation's domain must equal that tuple, which an ``HonestProver``
-shuffles each round, and its ``image`` is indexed by the same positions, so
-one call of the getter relabels every endpoint, and ``relabel_encoding``
-packs them into the relabeled graph's encoding without building that graph.
-``permute_graph`` decodes its edges from those bytes, and ``cycle_getter``
-relabels a cycle through the same positions.
+table: each vertex's position in the sorted vertex list, the encoded vertex
+header and an ``itemgetter`` over the positions of every edge endpoint.  The
+``image`` of a permutation of the vertex set is indexed by the same
+positions, so one call of the getter relabels every endpoint, and
+``relabel_encoding`` packs them into the relabeled graph's encoding without
+building that graph.  ``permute_graph`` decodes its edges from those bytes,
+and ``cycle_getter`` relabels a cycle through the same positions.
 """
 
 from __future__ import annotations
@@ -106,8 +105,7 @@ def _shuffle(items: list, rng: Random) -> None:
 class _RelabelTable(NamedTuple):
     """Per-graph positions for relabeling through ``Permutation.image``."""
 
-    domain: tuple  # the sorted vertices, the domain of every permutation of the graph
-    position: dict  # vertex -> its index in ``domain``
+    position: dict  # vertex -> its index among the sorted vertices
     head: bytes  # the encoded vertex header
     ends: Callable[[tuple], tuple]  # image -> relabeled endpoints, flat, in ``edges`` order
 
@@ -175,12 +173,11 @@ class Graph:
     def _relabel(self) -> _RelabelTable:
         # Encoding first rejects every id that cannot be packed or sorted.
         head = encode_graph(self)[: 5 + 4 * len(self.vertices)]
-        domain = tuple(sorted(self.vertices))
-        position = {v: i for i, v in enumerate(domain)}
+        position = {v: i for i, v in enumerate(sorted(self.vertices))}
         flat = [position[x] for edge in self.edges for x in edge]
         # ``itemgetter()`` takes at least one item; an edgeless graph slices none.
         ends = itemgetter(*flat) if flat else itemgetter(slice(0))
-        return _RelabelTable(domain, position, head, ends)
+        return _RelabelTable(position, head, ends)
 
     @cached_property
     def _splices(self) -> dict:
@@ -304,14 +301,10 @@ class Permutation:
     @classmethod
     def random(cls, vertices: AbstractSet[NodeId], rng: Random) -> "Permutation":
         """A uniform relabeling of a vertex set, shuffled by :func:`_shuffle`."""
-        return cls._shuffled(tuple(sorted(vertices)), rng)
-
-    @classmethod
-    def _shuffled(cls, domain: tuple, rng: Random) -> "Permutation":
-        """:meth:`random` over a ``domain`` that is sorted and duplicate-free already."""
+        domain = sorted(vertices)
         image = list(domain)
         _shuffle(image, rng)
-        return cls._trusted(domain, tuple(image))
+        return cls._trusted(tuple(domain), tuple(image))
 
     def inverse(self) -> "Permutation":
         return Permutation(self.image, self.domain)
@@ -388,14 +381,9 @@ def relabel_encoding(g: Graph, p: Permutation) -> bytes:
     Raises ``PermutationDomainMismatch`` for ``p`` over another vertex set, and
     ``GraphError`` when an id of ``g`` or ``p`` has no encoding.
     """
-    try:
-        table = g._relabel
-    except GraphError:  # a foreign domain is reported before an id with no encoding
-        if frozenset(p.domain) != g.vertices:
-            raise PermutationDomainMismatch("permutation domain mismatch") from None
-        raise
-    if p.domain != table.domain:  # both sorted, so equal exactly when the vertex sets are
+    if frozenset(p.domain) != g.vertices:
         raise PermutationDomainMismatch("permutation domain mismatch")
+    table = g._relabel
     # The domain is sorted, so ``p.image[i]`` relabels the vertex at position ``i``.
     ends = iter(table.ends(p.image))
     try:

@@ -62,9 +62,7 @@ DELETION_GRACE = 0.5
 # Update records (the FIFO catch-up queue contents)
 # ---------------------------------------------------------------------------
 
-# Records and outcomes are NamedTuples: one equals any tuple of its values, so
-# code tells them apart by ``isinstance``, never by ``==`` across types.
-
+# NamedTuples equal any tuple of their values: tell them apart by ``isinstance``.
 class InsertionRecord(NamedTuple):
     stage: int
     node: NodeId

@@ -191,14 +191,13 @@ class HonestProver:
             raise ProofError("prover lacks valid cycle")
         self._graph = graph
         self._relabel_cycle = cycle_getter(graph, cycle)  # the witness, kept by position
-        self._domain = graph._relabel.domain  # the one sorted vertex tuple every round shuffles
         self._rng = rng
         self._secret: Optional[RoundSecret] = None
 
     def next_commitment(self) -> Commitment:
         # The witness was checked once, in ``__init__``; graph and cycle are immutable.
         graph = self._graph
-        p = Permutation._shuffled(self._domain, self._rng)
+        p = Permutation.random(graph.vertices, self._rng)
         encoding = relabel_encoding(graph, p)
         self._secret, com = _commit(graph, p, encoding, self._relabel_cycle(p.image))
         return com

@@ -14,15 +14,16 @@ classes ``@dataclass`` decorates during the import and their total
 decoration time: each generated method is compiled by its own ``exec``, which
 makes decoration a large share of the import.
 
-    python tests/import_cost.py [--runs 12]
+    python tests/import_cost.py
 
-prints the three medians.  It only reports; no figure is checked.  Standard
-library only.
+prints the three medians, over twelve interpreters each.  It only reports;
+no figure is checked.  The decoration count wraps ``dataclasses``' private
+``_process_class``, so it is a measuring aid, not a test.  Standard library
+only.
 """
 
 from __future__ import annotations
 
-import argparse
 import compileall
 import json
 import os
@@ -34,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 12  # fresh interpreters per figure
 
 TIME_IMPORT = """
 import time
@@ -67,12 +69,7 @@ def child(code: str, path: Path, cached: bool) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--runs", type=int, default=12, help="fresh interpreters per figure")
-    args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         bare, cached = Path(tmp, "bare"), Path(tmp, "cached")
         for root in (bare, cached):
@@ -83,14 +80,14 @@ def main(argv=None) -> int:
             raise SystemExit("error: compiling the cached copy failed")
         times = {"bare": [], "cached": []}
         counts, spent = set(), []
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             times["bare"].append(float(child(TIME_IMPORT, bare, cached=False)))
             times["cached"].append(float(child(TIME_IMPORT, cached, cached=True)))
             count, total = json.loads(child(COUNT_DECORATIONS, bare, cached=False))
             counts.add(count)
             spent.append(total)
     ms = {kind: 1000 * statistics.median(values) for kind, values in times.items()}
-    print(f"python {sys.version.split()[0]}, {args.runs} fresh interpreters per figure")
+    print(f"python {sys.version.split()[0]}, {RUNS} fresh interpreters per figure")
     print(f"import gasman, no bytecode cache: median {ms['bare']:.1f} ms")
     print(f"import gasman, from bytecode:     median {ms['cached']:.1f} ms")
     print(f"dataclasses decorated at import: {'/'.join(map(str, sorted(counts)))}, "
