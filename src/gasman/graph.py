@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from random import Random
-from typing import AbstractSet, Callable, Iterable, NamedTuple
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 NodeId = int
 
@@ -159,7 +159,7 @@ class Graph:
         # tuple does.  An endpoint only equal to a vertex (``1.0``) cannot shift,
         # and ids of mixed types cannot sort.
         try:
-            head = bytes([ENCODING_VERSION]) + _pack_ids(sorted(self.vertices))
+            head = bytes([ENCODING_VERSION]) + encode_id_set(self.vertices)
             keys = [u << 32 | v for u, v in self.edges]
         except TypeError as exc:
             raise GraphError(f"node id out of encodable range: {exc}") from exc
@@ -314,12 +314,16 @@ class Permutation:
 # Canonical byte encodings (version-prefixed; consumed by the proof hashing)
 # ---------------------------------------------------------------------------
 
-def _pack_ids(ids: Iterable[NodeId]) -> bytes:
-    seq = list(ids)
+def _pack_ids(ids: Sequence[NodeId]) -> bytes:
     try:
-        return struct.pack(f">I{len(seq)}I", len(seq), *seq)
+        return struct.pack(f">I{len(ids)}I", len(ids), *ids)
     except struct.error as exc:
         raise GraphError(f"node id out of encodable range: {exc}") from exc
+
+
+def encode_id_set(ids: Iterable[NodeId]) -> bytes:
+    """The count, then the ids in ascending order."""
+    return _pack_ids(sorted(ids))
 
 
 def _graph_encoding(head: bytes, keys: list[int]) -> bytes:

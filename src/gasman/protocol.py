@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 import weakref
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -36,12 +37,13 @@ from .graph import (
     assign_new_id,
     encode_cycle,
     encode_graph,
+    encode_id_set,
     graph_digest,
     neighbor_set_for_insert,
     splice_delete,
     splice_insert,
 )
-from .zkp import Commitment, Prover, Response, run_proof
+from .zkp import Prover, run_proof
 
 
 class ProtocolError(ValueError):
@@ -95,205 +97,118 @@ _RECORD_TAGS = {InsertionRecord: 0x01, DeletionRecord: 0x02, PolRecord: 0x03}
 def encode_record(rec: UpdateRecord) -> bytes:
     head = struct.pack(">BId", _RECORD_TAGS[type(rec)], rec.stage, rec.timestamp)
     if isinstance(rec, InsertionRecord):
-        body = struct.pack(">II", rec.node, rec.author) + _pack_id_set(rec.neighbors)
+        body = struct.pack(">II", rec.node, rec.author) + encode_id_set(rec.neighbors)
     elif isinstance(rec, DeletionRecord):
         body = struct.pack(">II", rec.node, rec.author)
     else:
-        body = struct.pack(">I", rec.author) + _pack_id_set(rec.alive)
+        body = struct.pack(">I", rec.author) + encode_id_set(rec.alive)
     return head + body
-
-
-def _pack_id_set(ids: frozenset[NodeId]) -> bytes:
-    seq = sorted(ids)
-    return struct.pack(f">I{len(seq)}I", len(seq), *seq)
 
 
 # ---------------------------------------------------------------------------
 # Wire messages
 # ---------------------------------------------------------------------------
 
-#: Fixed per-message framing overhead added on top of the payload.
-MESSAGE_HEADER_BYTES = 16
+#: What every message opens with: its sender, its stage and its send time.
+_ENVELOPE = struct.Struct(">IId")
+_U32 = struct.Struct(">I")
+_NUMBER = (_U32.size, _U32.pack)
+_ID_SET = (None, encode_id_set)
+# The graph, cycle and response encoders are looked up in their modules at
+# each call, so a wrapper rebound there sees every call.
+_GRAPH = (None, lambda g: encode_graph(g))
+
+#: The wire codec of each body field: its width, or ``None`` when it varies,
+#: and its encoder.
+_CODECS = {
+    "proposed_id": _NUMBER, "node": _NUMBER, "claimed_id": _NUMBER,
+    "window": _NUMBER, "current_stage": _NUMBER,
+    "neighbors": _ID_SET, "alive": _ID_SET, "deletions": _ID_SET,
+    "graph": _GRAPH, "claimed_graph": _GRAPH,
+    "cycle": (None, lambda hc: encode_cycle(hc)),
+    "commitment": (64, lambda c: c.graph_digest + c.cycle_digest),  # two SHA-256 digests
+    "bit": (1, lambda bit: bytes([bit])),
+    "response": (None, lambda r: zkp.encode_response(r)),
+    "records": (None, lambda recs: _U32.pack(len(recs)) + b"".join(map(encode_record, recs))),
+}
 
 
-@dataclass(frozen=True, kw_only=True)
-class Message:
-    """Common envelope: transport sender, stage, and a network-clock stamp."""
-
-    sender: NodeId
-    stage: int
-    sent_at: float = 0.0
-
-    traffic_class = "insertion"
-    secure_channel = False
-
-    def payload_bytes(self) -> bytes:
-        return b""
-
-    def size(self) -> int:
-        return MESSAGE_HEADER_BYTES + len(self.payload_bytes())
+def _message(name: str, body: str, traffic_class: str, secure_channel: bool, doc: str) -> type:
+    """One row of the message table: an immutable tuple type of ``sender``,
+    ``stage``, the ``body`` fields in order and ``sent_at`` (0.0 if not given)."""
+    fields = body.split()
+    cls = namedtuple(name, ("sender", "stage", *fields, "sent_at"), defaults=(0.0,), module=__name__)
+    codecs = [(i, *_CODECS[f]) for i, f in enumerate(fields, 2)]
+    cls.__doc__ = doc
+    cls.traffic_class, cls.secure_channel = traffic_class, secure_channel
+    cls._encoders = tuple((i, encode) for i, _, encode in codecs)
+    # ``size`` counts the fixed-width fields from here and encodes only the rest.
+    cls._fixed_size = _ENVELOPE.size + sum(width for _, width, _ in codecs if width)
+    cls._variable = tuple((i, encode) for i, width, encode in codecs if width is None)
+    cls.size = _size
+    return cls
 
 
-@dataclass(frozen=True, kw_only=True)
-class InsertionAnnounce(Message):
-    """An authenticator's first broadcast of an insertion: the id it proposes."""
-    proposed_id: NodeId
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.proposed_id)
+def encode_message(msg: Message) -> bytes:
+    """The envelope, then each body field in order by its codec."""
+    body = b"".join([encode(msg[i]) for i, encode in msg._encoders])
+    return _ENVELOPE.pack(msg.sender, msg.stage, msg.sent_at) + body
 
 
-@dataclass(frozen=True, kw_only=True)
-class InsertionAck(Message):
-    """A member's acknowledgement of a proposed id, sent to the authenticator alone."""
-    proposed_id: NodeId
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.proposed_id)
-
-
-@dataclass(frozen=True, kw_only=True)
-class NeighborSetBroadcast(Message):
-    """A committed insertion: the new node and the neighbor group every replica splices in."""
-    node: NodeId
-    neighbors: frozenset[NodeId]
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.node) + _pack_id_set(self.neighbors)
+def _size(msg: Message) -> int:
+    """The length of ``encode_message(msg)``: the bytes one copy puts on the air."""
+    size = msg._fixed_size
+    for i, encode in msg._variable:
+        size += len(encode(msg[i]))
+    return size
 
 
-@dataclass(frozen=True, kw_only=True)
-class GraphTransfer(Message):
-    """Open-channel transfer of the public graph to a new member."""
-
-    graph: Graph
-    traffic_class = "graph_transfer"
-
-    def payload_bytes(self) -> bytes:
-        return encode_graph(self.graph)
-
-
-@dataclass(frozen=True, kw_only=True)
-class CycleTransfer(Message):
-    """The secret cycle; may only travel on the secure channel class."""
-
-    cycle: HamiltonianCycle
-    traffic_class = "cycle_transfer"
-    secure_channel = True
-
-    def payload_bytes(self) -> bytes:
-        return encode_cycle(self.cycle)
-
-
-@dataclass(frozen=True, kw_only=True)
-class PolInitiate(Message):
-    """Opens a proof-of-life window; each member that hears it answers once."""
-    window: int
-    traffic_class = "proof_of_life"
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.window)
-
-
-@dataclass(frozen=True, kw_only=True)
-class PolAnswer(Message):
-    """A member's sign of life in one window, kept by the window's initiator."""
-    claimed_id: NodeId
-    window: int
-    traffic_class = "proof_of_life"
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">II", self.claimed_id, self.window)
-
-
-@dataclass(frozen=True, kw_only=True)
-class PolSummary(Message):
-    """Second-step broadcast: the window's living set plus announced deletions."""
-
-    window: int
-    alive: frozenset[NodeId]
-    deletions: frozenset[NodeId]
-    traffic_class = "proof_of_life"
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.window) + _pack_id_set(self.alive) + _pack_id_set(self.deletions)
-
-    def deletion_payload_bytes(self) -> bytes:
-        """The portion of the payload that carries deletion announcements."""
-        return _pack_id_set(self.deletions)
-
-
-@dataclass(frozen=True, kw_only=True)
-class AccessRequest(Message):
-    """A returning member's claim to its id and to the graph of its stage."""
-    claimed_id: NodeId
-    claimed_graph: Graph
-    traffic_class = "zkp"
-
-    def payload_bytes(self) -> bytes:
-        return struct.pack(">I", self.claimed_id) + encode_graph(self.claimed_graph)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ZkpCommit(Message):
-    """One proof round's commitment, from the supplicant to the verifier."""
-    commitment: Commitment
-    traffic_class = "zkp"
-
-    def payload_bytes(self) -> bytes:
-        return self.commitment.graph_digest + self.commitment.cycle_digest
-
-
-@dataclass(frozen=True, kw_only=True)
-class ZkpChallenge(Message):
-    """One proof round's challenge bit, from the verifier to the supplicant."""
-    bit: int
-    traffic_class = "zkp"
-
-    def payload_bytes(self) -> bytes:
-        return bytes([self.bit])
-
-
-@dataclass(frozen=True, kw_only=True)
-class ZkpResponse(Message):
-    """One proof round's answer to its challenge, from the supplicant to the verifier."""
-    response: Response
-    traffic_class = "zkp"
-
-    def payload_bytes(self) -> bytes:
-        return zkp.encode_response(self.response)
-
-
-@dataclass(frozen=True, kw_only=True)
-class AccessGrant(Message):
-    """Everything a returning member needs to converge: catch-up records,
-    the current stage, and the proof-of-life window id."""
-
-    records: tuple[UpdateRecord, ...]
-    current_stage: int
-    window: int
-    traffic_class = "zkp"
-
-    def payload_bytes(self) -> bytes:
-        body = struct.pack(">III", self.current_stage, self.window, len(self.records))
-        return body + b"".join(encode_record(r) for r in self.records)
-
-
+#: The message table, one row per type: its name, its body fields, its
+#: traffic class, whether it needs the secure channel, and its docstring.
 MESSAGE_TYPES = (
-    InsertionAnnounce,
-    InsertionAck,
-    NeighborSetBroadcast,
-    GraphTransfer,
-    CycleTransfer,
-    PolInitiate,
-    PolAnswer,
-    PolSummary,
-    AccessRequest,
-    ZkpCommit,
-    ZkpChallenge,
-    ZkpResponse,
-    AccessGrant,
+    InsertionAnnounce := _message(
+        "InsertionAnnounce", "proposed_id", "insertion", False,
+        "An authenticator's first broadcast of an insertion: the id it proposes."),
+    InsertionAck := _message(
+        "InsertionAck", "proposed_id", "insertion", False,
+        "A member's acknowledgement of a proposed id, sent to the authenticator alone."),
+    NeighborSetBroadcast := _message(
+        "NeighborSetBroadcast", "node neighbors", "insertion", False,
+        "A committed insertion: the new node and the neighbor group every replica splices in."),
+    GraphTransfer := _message(
+        "GraphTransfer", "graph", "graph_transfer", False,
+        "Open-channel transfer of the public graph to a new member."),
+    CycleTransfer := _message(
+        "CycleTransfer", "cycle", "cycle_transfer", True,
+        "The secret cycle; may only travel on the secure channel class."),
+    PolInitiate := _message(
+        "PolInitiate", "window", "proof_of_life", False,
+        "Opens a proof-of-life window; each member that hears it answers once."),
+    PolAnswer := _message(
+        "PolAnswer", "claimed_id window", "proof_of_life", False,
+        "A member's sign of life in one window, kept by the window's initiator."),
+    PolSummary := _message(
+        "PolSummary", "window alive deletions", "proof_of_life", False,
+        "Second-step broadcast: the window's living set plus announced deletions."),
+    AccessRequest := _message(
+        "AccessRequest", "claimed_id claimed_graph", "zkp", False,
+        "A returning member's claim to its id and to the graph of its stage."),
+    ZkpCommit := _message(
+        "ZkpCommit", "commitment", "zkp", False,
+        "One proof round's commitment, from the supplicant to the verifier."),
+    ZkpChallenge := _message(
+        "ZkpChallenge", "bit", "zkp", False,
+        "One proof round's challenge bit, from the verifier to the supplicant."),
+    ZkpResponse := _message(
+        "ZkpResponse", "response", "zkp", False,
+        "One proof round's answer to its challenge, from the supplicant to the verifier."),
+    AccessGrant := _message(
+        "AccessGrant", "current_stage window records", "zkp", False,
+        "Everything a returning member needs to converge: the current stage, "
+        "the proof-of-life window id and the catch-up records."),
 )
+#: Any one message: a value of one of the types above.
+Message = Union[MESSAGE_TYPES]
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +451,10 @@ def apply_insertion_update(
     the Sybil analysis: :func:`detect_sybil` flags the sender and the update
     is rejected.  The verdict and the result are kept on the replica value,
     keyed by the broadcast, ``now`` and the retention, so a member that looks
-    them up builds no record.
+    them up builds no record.  The key cannot meet one of
+    :func:`apply_deletion_update`'s in the dict they share: a message equals
+    any tuple of its values, but a broadcast is a tuple of five and a summary
+    one of six.
     """
     before, key = state.replica, (broadcast, now, cfg.retention)
     kept = before._kept.get(key)
@@ -728,7 +646,9 @@ def apply_deletion_update(
     ids actually removed.  A shrink below a valid cycle raises
     ``BelowMinimumOrder``; callers run the termination check.  The result
     and the removed ids are kept on the replica value, keyed by the summary,
-    ``now`` and the retention, and the result is interned.
+    ``now`` and the retention, and the result is interned.  A summary, a
+    tuple of six, never equals the five-tuple broadcast that keys
+    :func:`apply_insertion_update`'s results in the same dict.
     """
     before, key = state.replica, (summary, now, cfg.retention)
     kept = before._kept.get(key)

@@ -10,7 +10,7 @@ positions (``flood_components``); a broadcast is a lookup of the sender's
 component (``broadcast_deliver``), which the engine delivers to all but the
 sender.  A full mesh is the one-component case.  Traffic is accounted per
 delivery: each node forwards a broadcast at most once and every copy a
-receiver hears is counted at the message's encoded size plus a fixed header.
+receiver hears is counted at the length of the message's encoding.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import le, not_
 from random import Random
 from typing import Optional
 
-from .graph import NodeId
+from .graph import NodeId, encode_id_set
 from .protocol import Message, PolSummary
 from .scenario import GeometricConfig, ScenarioConfig
 
@@ -268,7 +268,7 @@ class Radio:
         component, deliveries = broadcast_deliver(msg.sender, components)
         # A summary's deletions are metered as deletion traffic.
         deleting = isinstance(msg, PolSummary) and msg.deletions
-        deletion_part = len(msg.deletion_payload_bytes()) if deleting else 0
+        deletion_part = len(encode_id_set(msg.deletions)) if deleting else 0
         if deleting:
             self.metrics.record("deletion", deletion_part, deliveries)
         self.metrics.record(msg.traffic_class, msg.size() - deletion_part, deliveries)

@@ -37,13 +37,15 @@ def outputs(result) -> tuple[bytes, bytes]:
         "simulator.broadcast_deliver": 138, "simulator.reachable": 248,
         "simulator.step_mobility": 80, "simulator.events.popped": 845,
         "graph.splice_insert": 82, "graph.splice_delete": 41,
-        "protocol.apply_update_record": 179,
+        "protocol.apply_update_record": 179, "graph.encode_graph": 52,
+        "graph.encode_cycle": 36, "zkp.encode_response": 10,
     }),
     ("full_mesh", {
         "simulator.broadcast_deliver": 105, "simulator.reachable": 143,
         "simulator.step_mobility": 0, "simulator.events.popped": 537,
         "graph.splice_insert": 51, "graph.splice_delete": 48,
-        "protocol.apply_update_record": 151,
+        "protocol.apply_update_record": 151, "graph.encode_graph": 41,
+        "graph.encode_cycle": 30, "zkp.encode_response": 10,
     }),
 ])
 def test_every_probe_counts_the_calls_of_a_fixed_run(connectivity, expected):
@@ -69,5 +71,8 @@ def test_every_probe_counts_the_calls_of_a_fixed_run(connectivity, expected):
         "graph.splice_insert": rec.calls["graph.splice_insert"],
         "graph.splice_delete": rec.calls["graph.splice_delete"],
         "protocol.apply_update_record": rec.calls["protocol.apply_update_record"],
+        "graph.encode_graph": rec.calls["graph.encode_graph"],
+        "graph.encode_cycle": rec.calls["graph.encode_cycle"],
+        "zkp.encode_response": rec.calls["zkp.encode_response"],
     }
     assert counts == expected

@@ -1233,11 +1233,11 @@ def test_a_sender_that_is_not_on_line_still_floods():
     assert radio.flood(msg, online) == (0, 1, 2, 3)
     assert radio.metrics.counts["proof_of_life"] == 5 * 2
     # A lone sender reaches no one and meters nothing.
-    assert radio.flood(replace(msg, sender=5), online) == (5,)
+    assert radio.flood(msg._replace(sender=5), online) == (5,)
     assert radio.metrics.counts["proof_of_life"] == 5 * 2
     # On a full mesh a forger with no position reaches every on-line member.
     mesh = Radio(no_churn_cfg(), [], Random(0))
-    assert mesh.flood(replace(msg, sender=10**6), frozenset(range(8))) == (*range(8), 10**6)
+    assert mesh.flood(msg._replace(sender=10**6), frozenset(range(8))) == (*range(8), 10**6)
     assert mesh.metrics.counts["proof_of_life"] == 9 * 8
 
 
