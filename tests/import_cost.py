@@ -1,7 +1,17 @@
-"""What ``import gasman`` costs, each figure a median over fresh interpreters.
+"""What loading gasman costs a caller, each figure a median over fresh interpreters.
 
-Every run starts a new interpreter and times ``import gasman`` alone.  Two
-kinds of run alternate, so a drift of the host's speed touches both alike:
+``import gasman`` by itself loads none of the package's modules: each loads
+when one of its names is first read.  So every run starts a new interpreter
+and times what one kind of caller loads:
+
+- *proof set-up*: ``import gasman`` and reading ``build_initial_graph`` and
+  ``HonestProver``, which loads ``graph`` and ``zkp``;
+- *simulation set-up*: ``build_initial_graph`` and ``NodeState``, which
+  loads ``graph``, ``zkp`` and ``protocol``;
+- *everything*: ``import gasman.cli``, which loads every module.
+
+Each is timed two ways, and the kinds of run alternate, so a drift of the
+host's speed touches all alike:
 
 - *no bytecode cache*: gasman's sources are compiled on import and nothing
   is written, as in a fresh checkout whose runs write no ``__pycache__``;
@@ -9,14 +19,14 @@ kinds of run alternate, so a drift of the host's speed touches both alike:
 
 Both import a copy of ``src/gasman`` in a temporary directory, so a cache in
 the checkout is neither read nor written.  The standard library loads from
-its own cache in both.  A third kind of run, with neither timing, counts the
-classes ``@dataclass`` decorates during the import and their total
+its own cache in both.  One more run per round, with neither timing, counts
+the classes ``@dataclass`` decorates while everything loads and their total
 decoration time: each generated method is compiled by its own ``exec``, which
-makes decoration a large share of the import.
+makes decoration a large share of loading.
 
     python tests/import_cost.py
 
-prints the three medians, over twelve interpreters each.  It only reports;
+prints the seven figures, over twelve interpreters each.  It only reports;
 no figure is checked.  The decoration count wraps ``dataclasses``' private
 ``_process_class``, so it is a measuring aid, not a test.  Standard library
 only.
@@ -37,10 +47,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 12  # fresh interpreters per figure
 
-TIME_IMPORT = """
+# What each kind of caller loads, by the statements that load it.
+SETUPS = {
+    "proof set-up": "import gasman; gasman.build_initial_graph, gasman.HonestProver",
+    "simulation set-up": "import gasman; gasman.build_initial_graph, gasman.NodeState",
+    "everything": "import gasman.cli",
+}
+
+TIMED = """
 import time
 start = time.perf_counter()
-import gasman
+{}
 print(time.perf_counter() - start)
 """
 
@@ -56,7 +73,7 @@ def timed(cls, *args, **kwargs):
     return out
 
 dataclasses._process_class = timed
-import gasman
+import gasman.cli
 print(json.dumps([len(decorated), sum(decorated)]))
 """
 
@@ -78,19 +95,19 @@ def main() -> int:
         # ``py_compile`` writes even where PYTHONDONTWRITEBYTECODE is set.
         if not compileall.compile_dir(cached, quiet=1):
             raise SystemExit("error: compiling the cached copy failed")
-        times = {"bare": [], "cached": []}
+        modes = {"no bytecode cache": (bare, False), "from bytecode": (cached, True)}
+        times = {(setup, mode): [] for setup in SETUPS for mode in modes}
         counts, spent = set(), []
         for _ in range(RUNS):
-            times["bare"].append(float(child(TIME_IMPORT, bare, cached=False)))
-            times["cached"].append(float(child(TIME_IMPORT, cached, cached=True)))
+            for (setup, mode), values in times.items():
+                values.append(float(child(TIMED.format(SETUPS[setup]), *modes[mode])))
             count, total = json.loads(child(COUNT_DECORATIONS, bare, cached=False))
             counts.add(count)
             spent.append(total)
-    ms = {kind: 1000 * statistics.median(values) for kind, values in times.items()}
     print(f"python {sys.version.split()[0]}, {RUNS} fresh interpreters per figure")
-    print(f"import gasman, no bytecode cache: median {ms['bare']:.1f} ms")
-    print(f"import gasman, from bytecode:     median {ms['cached']:.1f} ms")
-    print(f"dataclasses decorated at import: {'/'.join(map(str, sorted(counts)))}, "
+    for (setup, mode), values in times.items():
+        print(f"{setup + ', ' + mode + ':':40} median {1000 * statistics.median(values):.1f} ms")
+    print(f"dataclasses decorated loading everything: {'/'.join(map(str, sorted(counts)))}, "
           f"median {1000 * statistics.median(spent):.1f} ms in total")
     return 0
 

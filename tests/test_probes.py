@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from gasman import simulator
+import gasman
+from gasman import simulator, zkp
 from gasman.scenario import ChurnConfig, GeometricConfig, ScenarioConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -76,3 +77,21 @@ def test_every_probe_counts_the_calls_of_a_fixed_run(connectivity, expected):
         "zkp.encode_response": rec.calls["zkp.encode_response"],
     }
     assert counts == expected
+
+
+def test_no_probe_outlives_the_probes_through_the_package():
+    # ``gasman`` reads an exported name through its module on every access.
+    # Had it kept the probe it read while the probes were installed, that
+    # binding would be one the tracer never saw, and ``uninstall`` would
+    # leave it wrapped.
+    tracer = load_tracer()
+    probes = tracer.Probes(tracer.Recorder())
+    try:
+        probes.install()
+        probed = [gasman.run_scenario, gasman.run_proof]
+    finally:
+        probes.uninstall()
+    assert [fn.__wrapped__ for fn in probed] == [simulator.run_scenario, zkp.run_proof]
+    assert gasman.run_scenario is simulator.run_scenario
+    assert gasman.run_proof is zkp.run_proof
+    assert {"run_scenario", "run_proof"}.isdisjoint(vars(gasman))

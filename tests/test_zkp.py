@@ -3,6 +3,7 @@
 import hashlib
 import struct
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,8 @@ from gasman.graph import (
     encode_cycle,
     encode_graph,
     is_hamiltonian_cycle,
+    permute_graph,
+    relabel_encoding,
 )
 from gasman.zkp import (
     Commitment,
@@ -451,6 +454,104 @@ def test_proof_stops_at_first_rejection():
     assert not result.accepted
     assert result.failed_round == result.rounds_completed <= 50
     assert result.reason in {"digest mismatch", "variant/challenge mismatch"}
+
+
+class ForgedId(int):
+    """A vertex id that keeps its value, but whose ``u << 32 | v`` is ``keys[u, v]``.
+
+    It compares, sorts and hashes as its value, so every check on ids passes;
+    only the encoders' edge keys ``u << 32 | v`` go through the lookup.
+    """
+
+    def __new__(cls, value, keys):
+        forged = super().__new__(cls, value)
+        forged.keys = keys
+        return forged
+
+    def __lshift__(self, shift):
+        return _Shifted(self.keys, int(self))
+
+
+class _Shifted(NamedTuple):
+    keys: dict  # (u, v) -> the edge key the cheater wants encoded
+    u: int
+
+    def __or__(self, v):
+        return self.keys[self.u, v]
+
+
+def edge_keys(edges):
+    return sorted(u << 32 | v for u, v in edges)
+
+
+def planted_graph(public_graph, rng):
+    """A graph over G's vertices with as many edges as G, around a cycle of
+    the caller's own that is no Hamiltonian cycle of G."""
+    vertices = sorted(public_graph.vertices)
+    order = Permutation.random(vertices, rng).image
+    edges = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
+    while len(edges) < public_graph.size:
+        edges.add(tuple(sorted(rng.sample(vertices, 2))))
+    graph, cycle = Graph(frozenset(vertices), frozenset(edges)), HamiltonianCycle(order)
+    # Not an ``assert``: the test that uses this expects an AssertionError.
+    if is_hamiltonian_cycle(public_graph, cycle):
+        raise ValueError("drew a Hamiltonian cycle of G")
+    return graph, cycle
+
+
+class ForgedPermutationCheater:
+    """Commits to a graph of its own and opens it for challenge 0.  For
+    challenge 1 it reveals the identity over forged ids, which relabel G's
+    edges into that graph's edge keys."""
+
+    def __init__(self, public_graph, rng):
+        graph, cycle = planted_graph(public_graph, rng)
+        keys = dict(zip(sorted(public_graph.edges), edge_keys(graph.edges)))
+        domain = tuple(sorted(public_graph.vertices))
+        self.commitment = Commitment(digest(encode_graph(graph)), digest(encode_cycle(cycle)))
+        self.responses = (RevealCycle(graph, cycle), RevealPermutation(
+            Permutation(domain, tuple(ForgedId(v, keys) for v in domain))))
+
+    def next_commitment(self):
+        return self.commitment
+
+    def answer(self, challenge):
+        return self.responses[challenge]
+
+
+class ForgedGraphCheater:
+    """Commits to an honest relabeling of G with its own cycle's digest, and
+    reveals the relabeling for challenge 1.  For challenge 0 it opens its own
+    graph over forged ids whose edge keys are the relabeled G's."""
+
+    def __init__(self, public_graph, rng):
+        self.public, self.rng = public_graph, rng
+        self.graph, self.cycle = planted_graph(public_graph, rng)
+
+    def next_commitment(self):
+        self.permutation = Permutation.random(self.public.vertices, self.rng)
+        encoding = relabel_encoding(self.public, self.permutation)
+        return Commitment(digest(encoding), digest(encode_cycle(self.cycle)))
+
+    def answer(self, challenge):
+        if challenge == 1:
+            return RevealPermutation(self.permutation)
+        relabeled = permute_graph(self.public, self.permutation)
+        keys = dict(zip(sorted(self.graph.edges), edge_keys(relabeled.edges)))
+        forged = frozenset((ForgedId(u, keys), ForgedId(v, keys)) for u, v in self.graph.edges)
+        return RevealCycle(Graph(self.graph.vertices, forged), self.cycle)
+
+
+# The verifier computes on the ids a response holds, so an ``int`` subclass
+# chooses the bytes it hashes.  A verifier that decodes exact ints from the
+# wire and computes only on those rejects both cheaters (ROADMAP item 1).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the verifier computes on response ids it did not decode")
+@pytest.mark.parametrize("cheater", [ForgedPermutationCheater, ForgedGraphCheater])
+def test_a_cheater_with_forged_ids_is_rejected(cheater):
+    rng = Random(41)
+    g, hc = build_initial_graph(16, 32, rng)
+    assert not run_proof(g, cheater(g, rng), 20, rng).accepted
 
 
 def test_round_count_must_be_positive():
