@@ -2,15 +2,17 @@
 
 Connectivity is modeled abstractly.  ``full_mesh`` reaches everyone in one
 hop; ``geometric`` places nodes on a square, moves them with a random
-waypoint walk, and floods broadcasts over the resulting disk graph.  The
-flood table is kept while its inputs, the positions and the engine's
-on-line set, are the same objects: both are replaced, never edited.  The
-first broadcast after either is replaced computes the components from the
-positions (``flood_components``); a broadcast is a lookup of the sender's
-component (``broadcast_deliver``), which the engine delivers to all but the
-sender.  A full mesh is the one-component case.  Traffic is accounted per
-delivery: each node forwards a broadcast at most once and every copy a
-receiver hears is counted at the length of the message's encoding.
+waypoint walk (``gasman.mobility``), and floods broadcasts over the
+resulting disk graph.  The walk builds positions only on a tick that reads
+them, in one dict per tick that nothing edits.  The flood table is kept
+while its inputs, that dict and the engine's on-line set, are the same
+objects: both are replaced, never edited.  The first broadcast after either
+is replaced computes the components from the positions
+(``flood_components``); a broadcast is a lookup of the sender's component
+(``broadcast_deliver``), which the engine delivers to all but the sender.
+A full mesh is the one-component case.  Traffic is accounted per delivery:
+each node forwards a broadcast at most once and every copy a receiver hears
+is counted at the length of the message's encoding.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from random import Random
 from typing import Optional
 
 from .graph import NodeId, encode_id_set
+from .mobility import Walk, WaypointState, step_mobility  # noqa: F401
 from .protocol import Message, PolSummary
 from .scenario import GeometricConfig, ScenarioConfig
 
@@ -82,53 +85,8 @@ class TrafficMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Mobility and reachability
+# Reachability and flooding
 # ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class WaypointState:
-    """A node's place and walk, immutable by convention, not ``frozen=True``.
-
-    A frozen constructor costs four times a slotted one, once per moving node
-    per tick.  Nothing edits a state: the radio replaces its positions dict,
-    ``Radio.place`` hands a newcomer its author's object, and nothing hashes one.
-    """
-
-    x: float
-    y: float
-    dest_x: Optional[float] = None
-    dest_y: Optional[float] = None
-    speed: float = 0.0
-    pause_until: float = 0.0
-
-
-def step_mobility(
-    positions: dict[NodeId, WaypointState], geo: GeometricConfig, rng: Random, dt: float, now: float
-) -> dict[NodeId, WaypointState]:
-    """Advance every node, in id order, one random-waypoint step of ``dt`` seconds."""
-    uniform, random, hypot = rng.uniform, rng.random, math.hypot
-    side, speed_max, resume = geo.area_side, geo.speed_max, now + geo.pause
-    out = {}
-    for node in sorted(positions):
-        st = positions[node]
-        if now < st.pause_until:
-            out[node] = st
-            continue
-        x, y, dest_x, dest_y, speed = st.x, st.y, st.dest_x, st.dest_y, st.speed
-        if dest_x is None or dest_y is None:
-            # Pause over: pick the next waypoint and a fresh speed in (0, max].
-            dest_x, dest_y = uniform(0.0, side), uniform(0.0, side)
-            speed = speed_max * (1.0 - random())
-        dx, dy = dest_x - x, dest_y - y
-        dist = hypot(dx, dy)
-        step = speed * dt
-        if dist <= step:
-            out[node] = WaypointState(dest_x, dest_y, None, None, 0.0, resume)
-            continue
-        x, y = x + step * dx / dist, y + step * dy / dist
-        out[node] = WaypointState(x, y, dest_x, dest_y, speed, st.pause_until)
-    return out
-
 
 def reachable(
     a: NodeId,
@@ -155,13 +113,16 @@ Components = dict[NodeId, tuple[tuple[NodeId, ...], int]]
 
 
 def flood_components(
-    members: frozenset[NodeId], positions: dict[NodeId, WaypointState], geo: Optional[GeometricConfig]
+    members: frozenset[NodeId],
+    positions: Optional[dict[NodeId, WaypointState]],
+    geo: Optional[GeometricConfig],
 ) -> Components:
     """Flood every component of ``members`` at once, straight from their positions.
 
-    ``geo`` is ``None`` for a full mesh: one component of all members, with
-    ``n * (n - 1)`` deliveries.  Otherwise two members are linked exactly when
-    ``reachable`` gives them a channel: ``math.dist`` here and ``math.hypot``
+    ``geo`` is ``None`` for a full mesh, whose ``positions`` are not read: one
+    component of all members, with ``n * (n - 1)`` deliveries.  Otherwise two
+    members are linked exactly when ``reachable`` gives them a channel:
+    ``math.dist`` here and ``math.hypot``
     there take CPython's ``vector_norm`` of the same ``fabs(px - qx)`` and
     ``fabs(py - qy)``, and a distance within the data or the secure range is
     one within the larger.  Each reached member forwards a broadcast once and
@@ -215,7 +176,7 @@ def broadcast_deliver(sender: NodeId, components: Components) -> tuple[tuple[Nod
 
 
 class Radio:
-    """One run's air: the connectivity mode, the members' positions, the last
+    """One run's air: the connectivity mode, the members' walk, the last
     flood table and the traffic metrics.  The engine places and moves members
     here, and puts every message on the air through ``send`` or ``flood``."""
 
@@ -225,22 +186,33 @@ class Radio:
         self.geo = cfg.connectivity if isinstance(cfg.connectivity, GeometricConfig) else None
         self.metrics = TrafficMetrics()
         # The last flood table (see ``flood``): (positions, on-line set, components).
-        self.positions: dict[NodeId, WaypointState] = {}
         self._flood: tuple = (None, None, None)
+        positions = {}
         if self.geo is not None:
             side = self.geo.area_side
             for v in members:
                 x, y = rng.uniform(0.0, side), rng.uniform(0.0, side)
-                self.positions[v] = WaypointState(x, y)
+                positions[v] = WaypointState(x, y)
+        self._walk = Walk(self.geo, cfg.duration, positions)
+
+    @property
+    def positions(self) -> dict[NodeId, WaypointState]:
+        """Every member's state after the last move tick.  Assigning a new
+        dict restarts every walk from its state; nothing edits one in place."""
+        return self._walk.positions
+
+    @positions.setter
+    def positions(self, states: dict[NodeId, WaypointState]) -> None:
+        self._walk.positions = states
 
     def place(self, node: NodeId, beside: NodeId) -> None:
         """Insertion requires physical contact: a newcomer stands next to its
-        authenticator, inside secure-channel range."""
+        authenticator, inside secure-channel range, and shares its walk."""
         if self.geo is not None:
-            self.positions = {**self.positions, node: self.positions[beside]}
+            self._walk.place(node, beside)
 
     def move(self, rng: Random, dt: float, now: float) -> None:
-        self.positions = step_mobility(self.positions, self.geo, rng, dt, now)
+        self._walk.move(rng, dt, now)
 
     def reaches(self, a: NodeId, b: NodeId) -> bool:
         return reachable(a, b, self.positions, self.cfg) is not Reach.NONE
@@ -259,12 +231,13 @@ class Radio:
         meter every copy, and give the sender's component in id order.  The
         flood table is kept while the positions and ``online`` are the same
         objects.  A forger, outside ``online``, floods over it and itself, uncached."""
-        positions, members, components = self._flood
+        cached, members, components = self._flood
+        positions = self._walk.positions if self.geo is not None else None  # a full mesh has none
         if msg.sender not in online:
-            components = flood_components(online | {msg.sender}, self.positions, self.geo)
-        elif positions is not self.positions or members is not online:
-            components = flood_components(online, self.positions, self.geo)
-            self._flood = (self.positions, online, components)
+            components = flood_components(online | {msg.sender}, positions, self.geo)
+        elif cached is not positions or members is not online:
+            components = flood_components(online, positions, self.geo)
+            self._flood = (positions, online, components)
         component, deliveries = broadcast_deliver(msg.sender, components)
         # A summary's deletions are metered as deletion traffic.
         deleting = isinstance(msg, PolSummary) and msg.deletions

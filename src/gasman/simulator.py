@@ -65,7 +65,8 @@ from .protocol import (
     proof_of_life_cycle,
 )
 # ``perfbench/tracer.py`` probes ``broadcast_deliver``, ``reachable``,
-# ``step_mobility`` and ``heapq`` under their names in this module.
+# ``step_mobility`` and ``heapq`` under their names in this module.  The radio
+# walks legs without ``step_mobility``, so that probe reads 0 in a run.
 from .radio import Radio, TrafficMetrics, broadcast_deliver, reachable, step_mobility  # noqa: F401
 from .scenario import ScenarioConfig, ScriptedOp, _us
 from .zkp import HonestProver

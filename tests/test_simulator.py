@@ -1040,6 +1040,122 @@ def test_waypoint_step_matches_a_replace_based_reference(states, seed, now, dt):
     assert rng.getstate() == ref_rng.getstate()
 
 
+def held_pause(dt):
+    """A pause that ends before the first tick, exactly on a later tick,
+    between ticks, or never."""
+    return st.one_of(
+        st.integers(0, 12).map(lambda k: k * dt), st.floats(0, 12 * dt), st.just(math.inf)
+    )
+
+
+@st.composite
+def walker(draw, dt):
+    x, y = draw(COORD_500), draw(COORD_500)
+    pause_until = draw(held_pause(dt))
+    kind = draw(st.sampled_from(
+        ["no waypoint", "mid-leg", "within a step", "a step away", "at the waypoint"]
+    ))
+    if kind == "no waypoint":
+        return WaypointState(x, y, pause_until=pause_until)
+    speed = draw(st.floats(0.001, 2000))
+    if kind == "at the waypoint":
+        dest_x, dest_y = x, y
+    elif kind == "a step away":
+        # Whole metres and a speed in whole metres per tick: the distance is
+        # exactly one step, which arrives.
+        x, speed = float(draw(st.integers(0, 500))), draw(st.integers(1, 40)) / dt
+        dest_x, dest_y = x + speed * dt, y
+    elif kind == "within a step":
+        # The waypoint lies closer than one step of ``speed * dt``.
+        reach = min(speed * dt, 100.0) * draw(st.floats(0, 1))
+        angle = draw(st.floats(0, 2 * math.pi))
+        dest_x, dest_y = x + reach * math.cos(angle), y + reach * math.sin(angle)
+    else:
+        dest_x, dest_y = draw(COORD_500), draw(COORD_500)
+    return WaypointState(x, y, dest_x, dest_y, speed, pause_until)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), duration=st.sampled_from([5.0, 25.0]))
+def test_the_radio_walk_equals_stepping_every_tick(data, seed, duration):
+    # The radio walks each node one leg at a time and builds states only
+    # when read; ``step_mobility`` steps every node on every tick.  Both must
+    # draw alike and agree wherever positions are read.  The runs step past
+    # the run's last tick (10 or 50 ticks) and change the tick length once.
+    dt, ticks = 0.5, 90
+    states = data.draw(st.lists(walker(dt), min_size=1, max_size=8))
+    reads = data.draw(st.sets(st.integers(1, ticks), max_size=12))
+    placing = data.draw(st.sets(st.integers(1, ticks), max_size=4))
+    longer = data.draw(st.integers(1, ticks + 1))  # from here on, ticks of 1.0 s
+    radio = Radio(no_churn_cfg(duration=duration, connectivity=GEO), [], Random(0))
+    radio.positions = expected = dict(enumerate(states))
+    rng, ref_rng = Random(seed), Random(seed)
+    now = 0.0
+    for k in range(1, ticks + 1):
+        if k == longer:
+            dt = 1.0
+        now += dt
+        radio.move(rng, dt, now)
+        expected = step_mobility(expected, GEO, ref_rng, dt, now)
+        assert rng.getstate() == ref_rng.getstate()
+        if k in reads:
+            assert radio.positions == expected
+        if k in placing:
+            # A newcomer beside the first node on a leg and one beside the
+            # first node holding still; then a newcomer that takes node 0's id.
+            walking = [v for v, p in expected.items() if p.dest_x is not None and now >= p.pause_until]
+            holding = [v for v, p in expected.items() if now < p.pause_until]
+            for beside in walking[:1] + holding[:1]:
+                new = max(expected) + 1
+                radio.place(new, beside)
+                expected = {**expected, new: expected[beside]}
+            radio.place(0, max(expected))
+            expected = {**expected, 0: expected[max(expected)]}
+            assert radio.positions == expected
+    assert radio.positions == expected
+
+
+def test_no_state_is_built_on_a_tick_that_reads_no_position(monkeypatch):
+    # The benchmark geometry for 100 s.  A flood, ``send``, ``reaches`` or
+    # ``place`` reads positions; between two move ticks with none of them,
+    # no ``WaypointState`` may be built.
+    cfg = ScenarioConfig(
+        n_initial=100, m=200, T=10.0, l=20, duration=100.0, seed=3,
+        churn=ChurnConfig(0.1, 0.1, 0.1), connectivity=GEO,
+    )
+    eng = _Engine(cfg)
+    radio, tally = eng.radio, {"built": 0, "read": False}
+    build = WaypointState.__init__
+
+    def counted(self, *args, **kwargs):
+        tally["built"] += 1
+        build(self, *args, **kwargs)
+
+    def reading(method):
+        def read(*args):
+            tally["read"] = True
+            return method(*args)
+        return read
+
+    for name in ("flood", "send", "reaches", "place"):
+        setattr(radio, name, reading(getattr(radio, name)))
+    monkeypatch.setattr(WaypointState, "__init__", counted)
+    ticks = []  # per tick: (states built, whether anything read)
+
+    def tallied_move(tick, move=eng._on_move):
+        ticks.append((tally["built"], tally["read"]))
+        tally.update(built=0, read=False)
+        move(tick)
+
+    eng._on_move = tallied_move
+    eng.run()
+    ticks = ticks[1:]  # from the first move tick on
+    assert len(ticks) == 199
+    unread = [built for built, read in ticks if not read]
+    assert len(unread) > 100 and set(unread) == {0}
+    assert sum(built for built, read in ticks if read) > 0
+
+
 def test_golden_digest_of_the_final_positions():
     # Frozen final waypoint state of every positioned node at the benchmark's
     # geometry.  The trace digests see a position only through the links it
@@ -1268,11 +1384,12 @@ def test_engine_floods_again_when_the_online_set_or_the_positions_change():
     assert radio._flood[2] is not components
     assert sent_to(engine) == (1, 2)
     # A move tick takes node 2 out of range of node 1: new positions, a new flood.
-    # Its waypoint is set in place, so that only the tick replaces the positions.
+    # Its waypoint is set through the setter, which restarts every walk from
+    # the states it is given; the tick then moves node 2.
     components = radio._flood[2]
-    radio.positions[2] = WaypointState(
+    radio.positions = {**radio.positions, 2: WaypointState(
         x=400.0, y=0.0, dest_x=400.0, dest_y=5000.0, speed=2000.0
-    )
+    )}
     engine._on_move(1)
     engine._broadcast(msg)
     assert radio._flood[0] is radio.positions is not positions
