@@ -1,11 +1,13 @@
 """Random-waypoint mobility: where each node of a geometric run stands.
 
 ``step_mobility`` advances every node one tick and is the reference.  A
-``Walk`` gives the same draws and the same places while it walks each node
-one leg at a time: a move tick draws the waypoints of the nodes it finds due,
-in id order, and runs each new leg's steps to its arrival in one loop.
-States are built only on a tick that reads them, in one dict per tick that
-nothing edits, by replaying the steps from the last tick read.
+``Walk`` gives the same draws and the same places on the engine's clock, a
+move tick every ``MOVE_DT_US``, while it walks each node one leg at a time.
+A move tick takes the nodes due from one queue, draws their waypoints in id
+order, and runs each new leg's steps once, to its arrival or the run's last
+tick: the arrival fixes when the node is due again.  States are built only
+on a tick that reads them, in one dict per tick that nothing edits, by
+replaying the steps from the last tick read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,14 @@ from typing import Optional
 
 from .graph import NodeId
 from .scenario import GeometricConfig, _us
+
+#: Mobility update step: move tick k comes at ``k * MOVE_DT_US`` us.
+MOVE_DT_US = 500_000
+
+
+def _at(tick: int) -> float:
+    """The time of move tick ``tick`` in seconds: the engine's ``now`` there, to the bit."""
+    return tick * MOVE_DT_US / 1_000_000
 
 
 @dataclass(slots=True)
@@ -82,43 +92,32 @@ def _steps(x: float, y: float, dest_x: float, dest_y: float, step: float, ticks:
 
 
 class _Leg:
-    """One leg of one node's walk: its steps from the tick it set out, from
+    """One leg of one node's walk: its steps from tick ``first``, from
     ``(x, y)``, to its arrival at the waypoint, and the rest there after it.
 
-    No place is stored.  A scout steps ahead to find the arrival: ``(x, y)``
-    is the place before tick ``end``, the first tick it has not checked, and
-    ``arrives`` the tick of arrival once found.  ``resume`` is the end of the
-    rest, once the arrival tick has come (``Walk.move`` knows its time).  A
-    read replays the steps from the last tick read, ``at``, where the place
-    was ``(read_x, read_y)`` and the state built was ``state``; the nodes
-    that share a leg share that state.
+    No place is stored.  When the leg is drawn its steps run once, up to the
+    run's last tick ``last``, to fix ``arrives``, the tick of arrival
+    (``last + 1`` if it does not arrive in the run), and ``resume``, the end
+    of the rest.  A read replays the steps from the last tick read, ``at``,
+    where the place was ``(read_x, read_y)`` and the state built was
+    ``state``; the nodes that share a leg share that state.
     """
 
-    __slots__ = ("dest_x", "dest_y", "speed", "step", "pause_until", "x", "y", "end",
-                 "arrives", "resume", "at", "read_x", "read_y", "state")
+    __slots__ = ("dest_x", "dest_y", "speed", "step", "pause_until", "arrives", "resume",
+                 "at", "read_x", "read_y", "state")
 
-    def __init__(self, first: int, x: float, y: float, dest_x: float, dest_y: float,
-                 speed: float, step: float, pause_until: float):
-        self.dest_x, self.dest_y, self.speed, self.step = dest_x, dest_y, speed, step
+    def __init__(self, first: int, last: int, x: float, y: float, dest_x: float, dest_y: float,
+                 speed: float, pause_until: float, pause: float):
+        self.dest_x, self.dest_y, self.speed, self.step = dest_x, dest_y, speed, speed * _at(1)
         self.pause_until = pause_until
-        self.x = self.read_x = x
-        self.y = self.read_y = y
-        self.end, self.at = first, first - 1
-        self.arrives: Optional[int] = None
-        self.resume: Optional[float] = None
+        self.read_x, self.read_y, self.at = x, y, first - 1
+        self.arrives = first + _steps(x, y, dest_x, dest_y, self.step, last - first + 1)[2]
+        self.resume = _at(self.arrives) + pause
         self.state: Optional[WaypointState] = None
-
-    def scout(self, last: int) -> None:
-        """Check the steps from ``end`` to tick ``last`` for the arrival."""
-        ticks = last - self.end + 1
-        self.x, self.y, taken = _steps(self.x, self.y, self.dest_x, self.dest_y, self.step, ticks)
-        if taken < ticks:
-            self.arrives = self.end + taken
-        self.end += taken
 
     def state_at(self, tick: int) -> WaypointState:
         if self.at != tick:
-            if self.arrives is None or tick < self.arrives:
+            if tick < self.arrives:
                 self.read_x, self.read_y, _ = _steps(
                     self.read_x, self.read_y, self.dest_x, self.dest_y, self.step, tick - self.at
                 )
@@ -132,20 +131,19 @@ class _Leg:
 
 
 class Walk:
-    """Every node's walk in one run of ``duration`` seconds.
+    """Every node's walk in one run of ``duration`` seconds, a move tick
+    every ``MOVE_DT_US``.
 
     A node holds a ``WaypointState`` until its pause is over, or walks a
     ``_Leg``.  ``move`` gives the same draws, in the same order, and the same
-    places as ``step_mobility`` on every tick, provided nothing edits a state
-    or the ``positions`` dict in place; assign a new dict instead, which
-    restarts every walk from its state.
+    places as ``step_mobility`` on every tick of the run, provided nothing
+    edits a state or the ``positions`` dict in place; assign a new dict
+    instead, which restarts every walk from its state.
     """
 
     def __init__(self, geo: GeometricConfig, duration: float, states: dict[NodeId, WaypointState]):
-        self.geo, self.duration = geo, duration
-        # Move ticks so far, the one step length ``dt`` they take, and the
-        # run's last tick at that length: no scout steps beyond it.
-        self._tick, self._dt, self._last = 0, 0.0, 0
+        # Move ticks so far, and the run's last tick: no leg steps beyond it.
+        self.geo, self._tick, self._last = geo, 0, _us(duration) // MOVE_DT_US
         self.positions = states
 
     @property
@@ -162,60 +160,36 @@ class Walk:
 
     @positions.setter
     def positions(self, states: dict[NodeId, WaypointState]) -> None:
-        # A node holds its state until its pause is over (``_holds``, a heap
-        # by the end of the pause); a node on a leg waits in ``_visits`` under
-        # the tick of its arrival or, past the run's last tick, its next step.
+        # One queue, a heap by the time each node is next due: a node holds
+        # its state until ``now < pause_until`` fails, and a leg's rest ends
+        # at ``resume`` but never before the tick after its arrival.  A leg
+        # that does not arrive in the run is not queued.
         self._positions, self._built = states, self._tick
         self._walks: dict[NodeId, WaypointState | _Leg] = dict(states)
-        self._holds: list[tuple[float, NodeId]] = []
-        self._visits: dict[int, list[NodeId]] = {}
-        for v, st in states.items():
-            self._schedule(v, st)
-
-    def _schedule(self, node: NodeId, walk: WaypointState | _Leg) -> None:
-        """Queue ``node`` for the tick that next changes its walk."""
-        if type(walk) is WaypointState or walk.resume is not None:
-            # A node is due once ``now < pause_until`` fails.
-            pause_until = walk.pause_until if type(walk) is WaypointState else walk.resume
-            heapq.heappush(self._holds, (pause_until, node))
-        else:
-            tick = walk.end if walk.arrives is None else walk.arrives
-            self._visits.setdefault(tick, []).append(node)
-
-    def _unschedule(self, node: NodeId) -> None:
-        walk = self._walks[node]
-        if type(walk) is WaypointState or walk.resume is not None:
-            self._holds[:] = [entry for entry in self._holds if entry[1] != node]
-            heapq.heapify(self._holds)
-        else:
-            self._visits[walk.end if walk.arrives is None else walk.arrives].remove(node)
+        self._due = [(st.pause_until, v) for v, st in states.items()]
+        heapq.heapify(self._due)
 
     def place(self, node: NodeId, beside: NodeId) -> None:
-        """Stand ``node`` where ``beside`` stands, sharing its walk.  A
-        newcomer may take a deleted member's id, and with it its entry."""
+        """Stand ``node`` where ``beside`` stands, sharing its walk and its
+        place in the queue.  A newcomer may take a deleted member's id, and
+        with it its entry."""
         positions = self.positions
         self._positions = {**positions, node: positions[beside]}
-        if node in self._walks:
-            self._unschedule(node)
-        self._walks[node] = walk = self._walks[beside]
-        self._schedule(node, walk)
+        self._walks[node] = self._walks[beside]
+        due = [entry for entry in self._due if entry[1] != node]
+        self._due = due + [(when, node) for when, v in due if v == beside]
+        heapq.heapify(self._due)
 
-    def move(self, rng: Random, dt: float, now: float) -> None:
-        """One ``step_mobility`` tick of ``dt`` seconds at ``now``, walked as legs."""
-        if dt != self._dt:
-            if self._tick:  # legs stepped at the old length restart here
-                self.positions = self.positions
-            self._dt, self._last = dt, _us(self.duration) // max(_us(dt), 1)
+    def move(self, rng: Random) -> None:
+        """One ``step_mobility`` tick, walked as legs."""
         self._tick = tick = self._tick + 1
-        walks, holds, geo = self._walks, self._holds, self.geo
-        # Past the run's last tick (a caller may step on), one tick at a time.
-        last = max(tick, self._last)
-        due = []
-        while holds and not now < holds[0][0]:
-            due.append(heapq.heappop(holds)[1])
-        if due:
+        now, last, walks, due, geo = _at(tick), self._last, self._walks, self._due, self.geo
+        ready = []
+        while due and not now < due[0][0]:
+            ready.append(heapq.heappop(due)[1])
+        if ready:
             uniform, random, side, speed_max = rng.uniform, rng.random, geo.area_side, geo.speed_max
-            for v in sorted(due):
+            for v in sorted(ready):
                 w = walks[v]
                 if type(w) is WaypointState:
                     x, y, dest_x, dest_y, speed, pause_until = (
@@ -229,13 +203,6 @@ class Walk:
                     # Pause over: pick the next waypoint and a fresh speed in (0, max].
                     dest_x, dest_y = uniform(0.0, side), uniform(0.0, side)
                     speed = speed_max * (1.0 - random())
-                walks[v] = leg = _Leg(tick, x, y, dest_x, dest_y, speed, speed * dt, pause_until)
-                leg.scout(last)
-                self._schedule(v, leg)
-        for v in self._visits.pop(tick, ()):
-            leg = walks[v]
-            if leg.arrives is None and leg.end <= tick:  # past the run's last tick
-                leg.scout(last)
-            if leg.arrives == tick:
-                leg.resume = now + geo.pause
-            self._schedule(v, leg)
+                walks[v] = leg = _Leg(tick, last, x, y, dest_x, dest_y, speed, pause_until, geo.pause)
+                if leg.arrives <= last:
+                    heapq.heappush(due, (max(leg.resume, _at(leg.arrives + 1)), v))

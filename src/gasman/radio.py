@@ -211,8 +211,9 @@ class Radio:
         if self.geo is not None:
             self._walk.place(node, beside)
 
-    def move(self, rng: Random, dt: float, now: float) -> None:
-        self._walk.move(rng, dt, now)
+    def move(self, rng: Random) -> None:
+        """Move every member one tick of ``MOVE_DT_US``, the run's next."""
+        self._walk.move(rng)
 
     def reaches(self, a: NodeId, b: NodeId) -> bool:
         return reachable(a, b, self.positions, self.cfg) is not Reach.NONE

@@ -35,6 +35,7 @@ from .graph import (
     build_initial_graph,
     instance_around_cycle,
 )
+from .mobility import MOVE_DT_US
 from .protocol import (
     AccessRequest,
     Aborted,
@@ -77,8 +78,6 @@ HOP_US = 1_000
 ANSWER_LATENCY_US = 300_000
 #: When the initiator of a two-step broadcast stops collecting answers.
 COLLECT_CLOSE_US = ANSWER_LATENCY_US + 3 * HOP_US
-#: Mobility update step.
-MOVE_DT_US = 500_000
 #: Event kinds that wait while a membership update is on the air (``_act``).
 #: Each reads a replica the update may not have reached yet: an author that
 #: has not heard the last insertion proposes that insertion's id again.
@@ -306,7 +305,7 @@ class _Engine:
 
     def _on_move(self, tick: int) -> None:
         self._queue_tick("move", tick + 1)
-        self.radio.move(self.rng, _sec(MOVE_DT_US), self.now_s)
+        self.radio.move(self.rng)
 
     def _on_churn(self, second: int) -> None:
         self._queue_tick("churn", second + 1)

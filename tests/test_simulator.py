@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from replica_sharing import content
 from state_digest import state_digest
 
+import gasman.mobility
 from gasman.cli import main as gasman_cli
 from gasman.graph import Graph, HamiltonianCycle
 from gasman.radio import (
@@ -1076,26 +1077,23 @@ def walker(draw, dt):
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32), duration=st.sampled_from([5.0, 25.0]))
+@given(data=st.data(), seed=st.integers(0, 2**32), duration=st.sampled_from([5.0, 25.0, 45.0]))
 def test_the_radio_walk_equals_stepping_every_tick(data, seed, duration):
     # The radio walks each node one leg at a time and builds states only
     # when read; ``step_mobility`` steps every node on every tick.  Both must
-    # draw alike and agree wherever positions are read.  The runs step past
-    # the run's last tick (10 or 50 ticks) and change the tick length once.
-    dt, ticks = 0.5, 90
+    # draw alike and agree wherever positions are read, up to the run's last
+    # tick (10, 50 or 90 ticks of 0.5 s).
+    dt = 0.5
+    ticks = int(duration / dt)
     states = data.draw(st.lists(walker(dt), min_size=1, max_size=8))
     reads = data.draw(st.sets(st.integers(1, ticks), max_size=12))
     placing = data.draw(st.sets(st.integers(1, ticks), max_size=4))
-    longer = data.draw(st.integers(1, ticks + 1))  # from here on, ticks of 1.0 s
     radio = Radio(no_churn_cfg(duration=duration, connectivity=GEO), [], Random(0))
     radio.positions = expected = dict(enumerate(states))
     rng, ref_rng = Random(seed), Random(seed)
-    now = 0.0
     for k in range(1, ticks + 1):
-        if k == longer:
-            dt = 1.0
-        now += dt
-        radio.move(rng, dt, now)
+        now = k * dt
+        radio.move(rng)
         expected = step_mobility(expected, GEO, ref_rng, dt, now)
         assert rng.getstate() == ref_rng.getstate()
         if k in reads:
@@ -1113,6 +1111,44 @@ def test_the_radio_walk_equals_stepping_every_tick(data, seed, duration):
             expected = {**expected, 0: expected[max(expected)]}
             assert radio.positions == expected
     assert radio.positions == expected
+
+
+def test_a_leg_is_stepped_no_further_than_the_runs_last_tick(monkeypatch):
+    # One node at 1e-9 m/s, 400 m from its waypoint: uncapped, its leg would
+    # take about 8e11 steps of 5e-10 m to arrive.  In a 10 s run (20 ticks)
+    # read on every tick, the leg's steps are run to the last tick once when
+    # drawn and replayed one tick per read: at most 2 x 20 in all.
+    asked, steps = [], gasman.mobility._steps
+
+    def counted(x, y, dest_x, dest_y, step, ticks):
+        asked.append(ticks)
+        return steps(x, y, dest_x, dest_y, step, ticks)
+
+    monkeypatch.setattr(gasman.mobility, "_steps", counted)
+    radio = Radio(no_churn_cfg(duration=10.0, connectivity=GEO), [], Random(0))
+    radio.positions = expected = {0: WaypointState(50.0, 50.0, 450.0, 50.0, 1e-9)}
+    rng, ref_rng = Random(1), Random(1)
+    for k in range(1, 21):
+        radio.move(rng)
+        expected = step_mobility(expected, GEO, ref_rng, 0.5, k * 0.5)
+        assert radio.positions == expected
+    assert sum(asked) <= 2 * 20
+
+
+@pytest.mark.parametrize("pause", [0.0, 1e-17, 0.25, 0.5, 0.75])
+def test_a_node_rests_at_least_through_its_arrival_tick(pause):
+    # A leg's rest ends at ``resume``, arrival time plus pause, but a node
+    # that arrives at tick a is due again at tick a + 1 at the earliest, as
+    # under ``step_mobility``, even when the pause adds nothing to the time.
+    geo = replace(GEO, pause=pause, speed_max=400.0)
+    radio = Radio(no_churn_cfg(duration=20.0, connectivity=geo), [], Random(0))
+    radio.positions = expected = {v: WaypointState(10.0 * v, 250.0) for v in range(6)}
+    rng, ref_rng = Random(5), Random(5)
+    for k in range(1, 41):
+        radio.move(rng)
+        expected = step_mobility(expected, geo, ref_rng, 0.5, k * 0.5)
+        assert rng.getstate() == ref_rng.getstate()
+        assert radio.positions == expected
 
 
 def test_no_state_is_built_on_a_tick_that_reads_no_position(monkeypatch):

@@ -51,7 +51,7 @@ def check(n: int, side: float) -> None:
     positions, ref_rng = radio.positions, Random()
     ref_rng.setstate(rng.getstate())
     for k in range(1, TICKS + 1):
-        radio.move(rng, DT, k * DT)
+        radio.move(rng)
         positions = step_mobility(positions, radio.geo, ref_rng, DT, k * DT)
         if radio.positions != positions or rng.getstate() != ref_rng.getstate():
             raise SystemExit(f"error: n = {n}: the walk and step_mobility differ at tick {k}")
@@ -70,7 +70,7 @@ def legs(n: int, side: float, every: int) -> float:
     radio, rng = start(n, side)
     began = time.perf_counter()
     for k in range(1, TICKS + 1):
-        radio.move(rng, DT, k * DT)
+        radio.move(rng)
         if k % every == 0:
             radio.positions
     radio.positions
